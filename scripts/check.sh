@@ -26,7 +26,8 @@
 # --fail-stale makes leftover baseline entries a hard failure (prune
 # with `python -m repro.lint ... --prune-baseline`).  The run refreshes
 # BENCH_lint.json so bench_report.py tracks analyzer wall-clock (and
-# per-rule timings) alongside the other benchmarks.
+# per-rule timings) alongside the other benchmarks.  The total line count
+# of src/repro is printed after it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +37,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== contract linter: python -m repro.lint src/ benchmarks/ scripts/"
 python -m repro.lint src/ benchmarks/ scripts/ --fail-stale \
     --bench-json BENCH_lint.json
+
+# Tracked size: every change's net src/ delta shows up here.
+echo "== src/repro: $(find src/repro -name '*.py' -print0 | xargs -0 cat \
+    | wc -l) lines of Python"
 
 echo
 echo "== tier-1: python -m pytest -x -q"

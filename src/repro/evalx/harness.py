@@ -5,7 +5,8 @@ Parallel evaluation
 -------------------
 ``evaluate(..., workers=N)`` fans the (tool, instance) grid over one
 persistent :class:`repro.parallel.WorkerPool` instead of the serial double
-loop.  The contract:
+loop, through the repository's one fan-out,
+:func:`repro.parallel.map_ordered`.  The contract:
 
 * **Determinism** — every pair ships a pickled snapshot of its tool, whose
   configured seed fully determines the pair's result (all in-repo tools
@@ -23,14 +24,13 @@ loop.  The contract:
   queued, so their timings measure trial compute rather than queue wait —
   with the suite pool temporarily bound to :attr:`tool.pool`, fanning their
   best-of-k trial chunks over the *same* workers as everyone else's pairs:
-  one pool for the whole suite run (ROADMAP item b), no nested pools, no
-  over-subscription.
+  one pool for the whole suite run, no nested pools, no over-subscription.
 * **Failure isolation** — the pool heals itself first: a worker casualty
   rebuilds the executor (within ``WorkerPool``'s respawn budget) and
   re-runs the in-flight pairs there, invisibly to the harness.  Only
   when the pool is truly gone — respawn budget exhausted, fork forbidden,
-  or a pair that cannot cross the process boundary — does the pair fall
-  back to a serial re-run in the parent; completed pairs are kept either
+  or a pair that cannot cross the process boundary — does ``map_ordered``
+  re-run the pair serially in the parent; completed pairs are kept either
   way, and both re-run paths are bit-identical because pairs are pure.
   Exceptions raised by a tool itself are caught *inside* the pair and
   recorded as ``valid=False``, exactly as in the serial loop.
@@ -91,14 +91,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..arch.library import get_architecture
-from ..parallel import WorkerPool
+from ..parallel import WorkerPool, borrow_pool, map_ordered
 from ..qls.base import QLSTool
 from ..qls.validate import validate_transpiled
 from ..qubikos.instance import QubikosInstance
@@ -447,18 +447,12 @@ def evaluate(tools: Sequence[QLSTool], instances: Iterable[QubikosInstance],
     keyer = (_PairKeyer([tool_fingerprint(tool) for tool in tools],
                         router_only)
              if cache is not None else None)
-    if pool is None and (workers is None or workers <= 1):
-        return _evaluate_serial(tools, instances, router_only, validate,
-                                progress, cache, keyer)
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(workers)
-    try:
+    with borrow_pool(pool, workers) as pool:
+        if pool is None:
+            return _evaluate_serial(tools, instances, router_only, validate,
+                                    progress, cache, keyer)
         return _evaluate_parallel(tools, instances, router_only, validate,
                                   progress, pool, cache, keyer)
-    finally:
-        if owned:
-            pool.shutdown()
 
 
 def _tool_request_spec(tool: QLSTool) -> Optional[Tuple[str, Optional[int]]]:
@@ -525,6 +519,25 @@ def _evaluate_service(tools: Sequence[QLSTool],
     return run
 
 
+def _measure_cached(tool: QLSTool, t: int, instance: QubikosInstance,
+                    router_only: bool, validate: bool,
+                    cache: Optional[ResultCache],
+                    keyer: Optional[_PairKeyer]) -> RunRecord:
+    """Measure one pair in this process, cache-first: a hit replays the
+    stored result, a fresh run is stored."""
+    coupling = _cached_architecture(instance.architecture)
+    key = decoded = None
+    if cache is not None:
+        key = keyer.key(t, instance, coupling)
+        decoded = _fetch_decoded(cache, key)
+    record, payload = _measure_pair(tool, instance, coupling, router_only,
+                                    validate, cached=decoded,
+                                    capture=cache is not None)
+    if payload is not None:
+        cache.put(key, payload)
+    return record
+
+
 def _evaluate_serial(tools: Sequence[QLSTool],
                      instances: Sequence[QubikosInstance],
                      router_only: bool, validate: bool,
@@ -535,18 +548,9 @@ def _evaluate_serial(tools: Sequence[QLSTool],
     """The reference double loop: instance-major, tool-minor."""
     run = EvaluationRun()
     for instance in instances:
-        coupling = _cached_architecture(instance.architecture)
         for t, tool in enumerate(tools):
-            key = decoded = None
-            if cache is not None:
-                key = keyer.key(t, instance, coupling)
-                decoded = _fetch_decoded(cache, key)
-            record, payload = _measure_pair(tool, instance, coupling,
-                                            router_only, validate,
-                                            cached=decoded,
-                                            capture=cache is not None)
-            if payload is not None:
-                cache.put(key, payload)
+            record = _measure_cached(tool, t, instance, router_only,
+                                     validate, cache, keyer)
             run.records.append(record)
             if progress is not None:
                 progress(record)
@@ -566,8 +570,8 @@ def _evaluate_parallel(tools: Sequence[QLSTool],
     Pair index ``i * len(tools) + t`` pins each record's position to the
     slot the serial double loop would fill, so the assembled record list is
     order-identical no matter how the pool schedules the work.  With a
-    cache, hits are resolved in the parent before anything is queued, and
-    miss payloads are stored from the parent as their futures land.
+    cache, hits are resolved in the parent and only misses are queued;
+    miss payloads are stored from the parent as they land.
     """
     slots: List[Optional[RunRecord]] = [None] * (len(instances) * len(tools))
 
@@ -576,103 +580,63 @@ def _evaluate_parallel(tools: Sequence[QLSTool],
         if progress is not None:
             progress(record)
 
-    def pair_cache_key(t: int, instance: QubikosInstance) -> Optional[str]:
-        if cache is None:
-            return None
-        return keyer.key(t, instance,
-                         _cached_architecture(instance.architecture))
-
-    def run_in_parent(index: int, tool: QLSTool, instance: QubikosInstance,
-                      t: int) -> None:
-        """Measure one pair in the parent, cache-first, storing misses."""
-        key = pair_cache_key(t, instance)
-        decoded = _fetch_decoded(cache, key) if key is not None else None
-        record, payload = _measure_pair(
-            tool, instance, _cached_architecture(instance.architecture),
-            router_only, validate, cached=decoded,
-            capture=cache is not None,
-        )
-        if payload is not None:
-            cache.put(key, payload)
-        finish(index, record)
-
-    futures: Dict[Future, Tuple] = {}
-    plain_pairs: List[Tuple[int, QLSTool, QubikosInstance, int]] = []
-    shared_pairs: List[Tuple[int, QLSTool, QubikosInstance, int]] = []
-    broken_pairs: List[Tuple[int, QLSTool, QubikosInstance, int]] = []
-    for i, instance in enumerate(instances):
-        for t, tool in enumerate(tools):
-            index = i * len(tools) + t
-            if getattr(tool, "supports_shared_pool", False) \
-                    and getattr(tool, "trials", 1) > 1:
-                shared_pairs.append((index, tool, instance, t))
-            else:
-                plain_pairs.append((index, tool, instance, t))
-
     # Pool-sharing pairs run first, from the parent, with the suite pool
     # bound: their trial chunks get the workers to themselves, so the
     # recorded runtime_seconds / trials_per_second measure trial compute,
     # not time spent queueing behind a backlog of other tools' pairs —
     # keeping the runtime-quality metrics comparable with serial runs.
-    for index, tool, instance, t in shared_pairs:
-        previous = getattr(tool, "pool", None)
-        tool.pool = pool
-        try:
-            run_in_parent(index, tool, instance, t)
-        finally:
-            tool.pool = previous
-
-    # Then fan the plain pairs out: every miss is queued before any hit is
-    # resolved, so workers start on the compute immediately and the parent
-    # reconstructs/validates the hits while they run.  Each miss runs
-    # whole inside one worker.
-    hit_pairs: List[Tuple[int, QLSTool, QubikosInstance, Tuple]] = []
-    for index, tool, instance, t in plain_pairs:
-        key = pair_cache_key(t, instance)
-        if key is not None:
-            decoded = _fetch_decoded(cache, key)
-            if decoded is not None:
-                hit_pairs.append((index, tool, instance, decoded))
+    plain_pairs: List[Tuple[int, int, QLSTool, QubikosInstance]] = []
+    for i, instance in enumerate(instances):
+        for t, tool in enumerate(tools):
+            index = i * len(tools) + t
+            if not getattr(tool, "supports_shared_pool", False) \
+                    or getattr(tool, "trials", 1) <= 1:
+                plain_pairs.append((index, t, tool, instance))
                 continue
-            # a miss — including a poisoned entry, which the landing
-            # future's payload then overwrites
-        try:
-            future = pool.submit(_evaluate_pair_task, tool, instance,
-                                 router_only, validate, cache is not None)
-        except Exception:  # noqa: BLE001 - submission = transport layer
-            broken_pairs.append((index, tool, instance, t))
-            continue
-        futures[future] = (index, tool, instance, t, key)
+            previous = getattr(tool, "pool", None)
+            tool.pool = pool
+            try:
+                finish(index, _measure_cached(tool, t, instance, router_only,
+                                              validate, cache, keyer))
+            finally:
+                tool.pool = previous
 
-    for index, tool, instance, decoded in hit_pairs:
-        record, _ = _measure_pair(
-            tool, instance, _cached_architecture(instance.architecture),
-            router_only, validate, cached=decoded,
-        )
-        finish(index, record)
+    # Then fan the plain pairs out; each miss runs whole inside one worker.
+    misses: List[Tuple[int, Optional[str]]] = []
 
-    for future in as_completed(list(futures)):
-        index, tool, instance, t, key = futures[future]
-        try:
-            record, payload = future.result()
-        except Exception:  # noqa: BLE001 - transport failures, see below
-            # Tool exceptions are caught *inside* _measure_pair, so anything
-            # surfacing here is a transport problem: the pool died
-            # (BrokenExecutor/OSError) or the pair could not cross the
-            # process boundary (unpicklable tool or result).  Either way the
-            # pair re-runs in the parent, where no pickling is involved and
-            # the serial error-isolation semantics apply.
-            broken_pairs.append((index, tool, instance, t))
-            continue
-        if payload is not None and key is not None:
+    def tasks() -> Iterator[Tuple]:
+        hits = []
+        for index, t, tool, instance in plain_pairs:
+            key = decoded = None
+            if cache is not None:
+                key = keyer.key(t, instance,
+                                _cached_architecture(instance.architecture))
+                # a poisoned entry is a miss, overwritten when it lands
+                decoded = _fetch_decoded(cache, key)
+            if decoded is not None:
+                hits.append((index, tool, instance, decoded))
+                continue
+            misses.append((index, key))
+            yield (tool, instance, router_only, validate, cache is not None)
+        # Every miss is queued: replay and validate the hits in the parent
+        # while the pool computes.
+        for index, tool, instance, decoded in hits:
+            record, _ = _measure_pair(
+                tool, instance, _cached_architecture(instance.architecture),
+                router_only, validate, cached=decoded,
+            )
+            finish(index, record)
+
+    def land(task: int, measured: Tuple[RunRecord, Optional[Dict]]) -> None:
+        index, key = misses[task]
+        record, payload = measured
+        if payload is not None:
             cache.put(key, payload)
         finish(index, record)
 
-    # Pool-level casualties (dead worker, forbidden fork, unpicklable
-    # pairs): re-run serially in the parent.  Completed pairs are untouched.
-    for index, tool, instance, t in broken_pairs:
-        run_in_parent(index, tool, instance, t)
-
-    run = EvaluationRun()
-    run.records = [record for record in slots if record is not None]
-    return run
+    # Tool exceptions are caught inside _measure_pair, so a pair the pool
+    # fails failed in transport — a dead pool, or a tool that cannot cross
+    # the process boundary — and map_ordered re-runs it in the parent,
+    # where the serial error isolation applies.
+    map_ordered(pool, _evaluate_pair_task, tasks(), on_result=land)
+    return EvaluationRun([record for record in slots if record is not None])

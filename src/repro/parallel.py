@@ -1,11 +1,14 @@
-"""Shared process-pool plumbing for suite-scale parallel evaluation.
+"""Shared process-pool plumbing: the one fan-out every layer uses.
 
-One :class:`WorkerPool` is created per suite run and shared by *both*
-layers of parallelism: the evaluation harness fans (tool, instance) pairs
-over it, and best-of-k tools (LightSABRE) fan their trial chunks over the
-same pool instead of spawning a nested pool per call.  A single pool keeps
-every core busy without over-subscription and amortises worker start-up
-across the whole suite.
+Everything that fans out over processes — the evaluation harness's
+(tool, instance) grid, the compilation service's batch misses,
+LightSABRE's best-of-k trial chunks and the SAT cubes of
+cube-and-conquer — calls :func:`map_ordered` on the pool
+:func:`borrow_pool` picks: a caller-shared :class:`WorkerPool` wins,
+``workers > 1`` owns one for the call, otherwise the caller runs its
+serial loop.  One pool shared by the harness and LightSABRE keeps every
+core busy without nested pools or over-subscription, and amortises
+worker start-up across a whole suite.
 
 Self-healing
 ------------
@@ -31,7 +34,8 @@ compute.
 The error contract is unchanged: anything raised from
 :data:`POOL_UNAVAILABLE_ERRORS` means "the pool is gone, run this piece
 of work serially"; exceptions raised *by the submitted function*
-propagate unchanged.
+propagate unchanged.  :func:`map_ordered` re-runs either kind in the
+parent, where a pool failure disappears and a task error recurs.
 
 Fault injection: each :meth:`submit` is a ``pool.task`` site — an armed
 :class:`repro.faults.FaultPlan` can replace the Nth submission with a
@@ -43,8 +47,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
+                                as_completed)
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import faults
 from .obs import metrics as obs_metrics
@@ -367,3 +373,86 @@ class WorkerPool:
                  else "live" if self._executor is not None else "idle")
         return (f"WorkerPool(workers={self.workers}, {state}, "
                 f"respawns={self._respawns}/{self.respawn_budget})")
+
+
+@contextmanager
+def borrow_pool(pool, workers: Optional[int]
+                ) -> Iterator[Optional[WorkerPool]]:
+    """The pool a fan-out runs on: a shared ``pool`` wins; otherwise
+    ``workers > 1`` owns a fresh :class:`WorkerPool`, shut down when the
+    block exits; otherwise ``None`` (the caller runs serially)."""
+    if pool is not None or workers is None or workers <= 1:
+        yield pool
+        return
+    with WorkerPool(workers) as owned:
+        yield owned
+
+
+def map_ordered(pool, fn: Callable, arg_tuples: Iterable[Tuple],
+                on_result: Optional[Callable[[int, object], None]] = None,
+                stop: Optional[Callable[[object], bool]] = None,
+                ) -> Tuple[List[object], int]:
+    """Run ``fn(*args)`` for every tuple on ``pool``; the one fan-out.
+
+    Returns ``(results in submission order, fallbacks)``.  ``pool`` is
+    anything with ``submit`` and ``workers``; ``pool.submit`` is called
+    once per task, and ``arg_tuples`` is drained before the first wait,
+    so a generator can do parent-side work after its last task is queued.
+    ``on_result(index, result)`` fires in this thread as each task lands.
+
+    A task that fails on the worker side — the pool broke or is gone, its
+    arguments cannot be pickled, or ``fn`` raised — is re-run once in the
+    parent after every survivor is collected: what the re-run raises
+    propagates unchanged, and each re-run that returns is a fallback
+    (``repro_pool_fallbacks_total``).  ``stop(result)`` ends the map at
+    the lowest index whose result it accepts, once every lower index has
+    a result; ``results`` is then that prefix and later tasks are
+    abandoned.
+    """
+    tasks: List[Tuple] = []
+    futures: Dict[Future, int] = {}
+    casualties: List[int] = []
+    for index, args in enumerate(arg_tuples):
+        tasks.append(args)
+        try:
+            futures[pool.submit(fn, *args)] = index
+        except Exception:  # noqa: BLE001 - pool gone or args unpicklable
+            casualties.append(index)
+    results: List[object] = [None] * len(tasks)
+    waiting = set(futures.values())
+    cut = len(tasks)  # lowest index ``stop`` accepted so far
+
+    def land(index: int, value: object) -> bool:
+        results[index] = value
+        if on_result is not None:
+            on_result(index, value)
+        return stop is not None and stop(value)
+
+    for future in as_completed(futures):
+        index = futures[future]
+        waiting.discard(index)
+        try:
+            value = future.result()
+        except Exception:  # noqa: BLE001 - re-run in the parent below
+            casualties.append(index)
+        else:
+            if land(index, value):
+                cut = min(cut, index)
+        if stop is not None and all(other > cut for other in waiting):
+            break
+
+    fallbacks = 0
+    for index in sorted(casualties):
+        if index > cut:
+            break
+        value = fn(*tasks[index])
+        fallbacks += 1
+        if obs_metrics._ACTIVE is not None:
+            obs_metrics.counter(
+                "repro_pool_fallbacks_total",
+                "Tasks a pool lost that the parent re-ran to completion.",
+            ).inc()
+        if land(index, value):
+            cut = index
+            break
+    return (results if cut == len(tasks) else results[:cut + 1]), fallbacks

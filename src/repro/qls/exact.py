@@ -51,6 +51,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import DependencyDag
 from ..circuit.gates import Gate
 from ..obs import metrics as obs_metrics
+from ..parallel import borrow_pool
 from ..qubikos.mapping import Mapping
 from ..sat.backend import SatBackend, SatSession, get_backend
 from ..sat.cnf import CnfBuilder
@@ -309,7 +310,8 @@ class ExactSolver(QLSTool):
       answer is backend-independent, and decoded circuits are re-validated
       regardless).
     * ``workers`` / ``pool`` — enable cube-and-conquer: cubes of each
-      ``k`` iteration fan over a private pool of ``workers`` processes,
+      ``k`` iteration fan over a pool of ``workers`` processes owned
+      for the call,
       or a shared :class:`repro.parallel.WorkerPool` (assign ``pool``).
     * ``incremental=False`` re-encodes and cold-starts per ``k`` — the
       seed behaviour, kept as the benchmark baseline.
@@ -352,29 +354,16 @@ class ExactSolver(QLSTool):
         deadline = time.monotonic() + self.time_limit \
             if self.time_limit else None
         engine = get_backend(self.backend)
-        pool, own_pool = self._resolve_pool()
-        try:
+        with borrow_pool(self.pool, self.workers) as pool:
             if pool is not None:
                 return self._solve_cube(skeleton, coupling, initial_mapping,
                                         start_k, deadline, pool)
-            if self.incremental and engine.incremental:
-                return self._solve_incremental(skeleton, coupling,
-                                               initial_mapping, start_k,
-                                               deadline, engine)
-            return self._solve_fresh(skeleton, coupling, initial_mapping,
-                                     start_k, deadline, engine)
-        finally:
-            if own_pool:
-                pool.shutdown()
-
-    def _resolve_pool(self):
-        """(pool, owns_it): a shared pool wins; ``workers>1`` builds one."""
-        if self.pool is not None:
-            return self.pool, False
-        if self.workers is not None and self.workers > 1:
-            from ..parallel import WorkerPool  # lazy: qls stays pool-free
-            return WorkerPool(self.workers), True
-        return None, False
+        if self.incremental and engine.incremental:
+            return self._solve_incremental(skeleton, coupling,
+                                           initial_mapping, start_k,
+                                           deadline, engine)
+        return self._solve_fresh(skeleton, coupling, initial_mapping,
+                                 start_k, deadline, engine)
 
     @staticmethod
     def _remaining(deadline: Optional[float]) -> Optional[float]:

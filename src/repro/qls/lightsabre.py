@@ -15,29 +15,24 @@ harness can report it.
 
 Pool sharing and failure recovery
 ---------------------------------
-Instead of spawning a private pool per call, a suite runner can bind one
-persistent :class:`repro.parallel.WorkerPool` via the :attr:`LightSabre.pool`
-attribute (the parallel evaluation harness does this automatically); trial
-chunks are then submitted to the shared pool, so a whole suite's trials
-interleave on one set of workers.  Chunk submission and collection are
-fault-isolated: if the pool (shared or private) breaks mid-run — a worker
-was OOM-killed, say — only the *failed* chunks are re-run serially in the
-parent process, preserving every chunk result that already completed
-(``retried_chunks`` in the metadata counts the re-runs).  Exceptions raised
-by the trials themselves propagate unchanged — they would recur serially
-anyway.
+Trial chunks fan out through :func:`repro.parallel.map_ordered` on a
+shared :class:`repro.parallel.WorkerPool` bound to :attr:`LightSabre.pool`
+(the parallel evaluation harness does this, so a whole suite's trials
+interleave on one set of workers), else on a pool of ``workers``
+processes owned for the call.  A chunk the pool loses — a worker was
+OOM-killed, say — is re-run alone in the parent, keeping every chunk that
+completed (``retried_chunks`` in the metadata counts the re-runs).
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
 import random
-from typing import List, Optional, Sequence, Tuple
+import time
+from typing import Optional, Sequence, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import QuantumCircuit
-from ..parallel import POOL_UNAVAILABLE_ERRORS, WorkerPool
+from ..parallel import WorkerPool, borrow_pool, map_ordered
 from ..qubikos.mapping import Mapping
 from .base import QLSResult, QLSTool
 from .sabre import SabreLayout, SabreParameters
@@ -70,7 +65,7 @@ def _run_trial_chunk(circuit: QuantumCircuit, coupling: CouplingGraph,
 class LightSabre(QLSTool):
     """Best-of-``trials`` SABRE (the paper's strongest baseline).
 
-    ``workers`` > 1 distributes trials over a private process pool;
+    ``workers`` > 1 distributes trials over a pool owned for the call;
     ``None``/``0``/``1`` runs serially.  Binding :attr:`pool` to a shared
     :class:`repro.parallel.WorkerPool` overrides ``workers`` and submits the
     trial chunks there instead.  All paths pick the same winner for a fixed
@@ -109,26 +104,17 @@ class LightSabre(QLSTool):
             initial_mapping: Optional[Mapping] = None) -> QLSResult:
         rng = random.Random(self.seed)
         trial_seeds = [rng.randrange(2 ** 31) for _ in range(self.trials)]
-        pool = self.pool
-        if pool is not None:
-            workers = min(getattr(pool, "workers", 1) or 1, self.trials)
-        else:
-            workers = min(self.workers or 1, self.trials)
-        if pool is not None and self.trials > 1:
-            best, trial_phase, used_workers, retried = self._run_parallel(
-                circuit, coupling, initial_mapping, trial_seeds,
-                max(workers, 1), pool,
-            )
-        elif workers > 1:
-            best, trial_phase, used_workers, retried = self._run_parallel(
-                circuit, coupling, initial_mapping, trial_seeds, workers, None
-            )
-        else:
-            best, trial_phase = self._run_serial(
-                circuit, coupling, initial_mapping, trial_seeds
-            )
-            used_workers = 1
-            retried = None
+        with borrow_pool(self.pool,
+                         min(self.workers or 1, self.trials)) as pool:
+            start = time.perf_counter()
+            if pool is not None and self.trials > 1:
+                best, used_workers, retried = self._run_parallel(
+                    circuit, coupling, initial_mapping, trial_seeds, pool)
+            else:
+                best = self._run_serial(circuit, coupling, initial_mapping,
+                                        trial_seeds)
+                used_workers, retried = 1, None
+            trial_phase = time.perf_counter() - start
         best.tool = self.name
         best.metadata["trials"] = self.trials
         # How the trials actually ran: 1 after a pool-unavailable fallback.
@@ -141,8 +127,7 @@ class LightSabre(QLSTool):
 
     def _run_serial(self, circuit: QuantumCircuit, coupling: CouplingGraph,
                     initial_mapping: Optional[Mapping],
-                    trial_seeds: Sequence[int]) -> Tuple[QLSResult, float]:
-        start = time.perf_counter()
+                    trial_seeds: Sequence[int]) -> QLSResult:
         best: Optional[QLSResult] = None
         for trial, seed in enumerate(trial_seeds):
             tool = SabreLayout(params=self.params, seed=seed)
@@ -151,83 +136,32 @@ class LightSabre(QLSTool):
                 best = result
                 best.metadata["winning_trial"] = trial
         assert best is not None
-        return best, time.perf_counter() - start
-
-    def _collect_chunks(self, circuit: QuantumCircuit,
-                        coupling: CouplingGraph,
-                        initial_mapping: Optional[Mapping],
-                        chunks: Sequence[Sequence[Tuple[int, int]]],
-                        submit) -> Tuple[List[Tuple[int, QLSResult]],
-                                         List[Sequence[Tuple[int, int]]]]:
-        """Submit every chunk via ``submit`` and collect the per-chunk
-        winners; chunks that hit a pool-level failure on submission or
-        collection are re-run serially in this process."""
-        chunk_bests: List[Tuple[int, QLSResult]] = []
-        failed: List[Sequence[Tuple[int, int]]] = []
-        futures = []
-        for chunk in chunks:
-            try:
-                futures.append(submit(_run_trial_chunk, circuit, coupling,
-                                      self.params, initial_mapping, chunk))
-            except POOL_UNAVAILABLE_ERRORS:
-                futures.append(None)
-        for chunk, future in zip(chunks, futures):
-            if future is None:
-                failed.append(chunk)
-                continue
-            try:
-                chunk_bests.append(future.result())
-            except POOL_UNAVAILABLE_ERRORS:
-                failed.append(chunk)
-        # Re-run only the failed chunks, serially, in this process.
-        for chunk in failed:
-            chunk_bests.append(_run_trial_chunk(
-                circuit, coupling, self.params, initial_mapping, chunk
-            ))
-        return chunk_bests, failed
+        return best
 
     def _run_parallel(self, circuit: QuantumCircuit, coupling: CouplingGraph,
                       initial_mapping: Optional[Mapping],
-                      trial_seeds: Sequence[int], workers: int,
-                      pool: Optional[WorkerPool]
-                      ) -> Tuple[QLSResult, float, int, int]:
-        """Chunked trials on ``pool`` (or a private pool when ``None``).
+                      trial_seeds: Sequence[int], pool: WorkerPool
+                      ) -> Tuple[QLSResult, int, int]:
+        """Chunked trials on ``pool``, one chunk per worker.
 
-        Returns ``(best, trial_phase_seconds, effective_workers,
-        retried_chunks)``.  Chunks whose pool submission or collection hit a
-        pool-level failure are re-run serially in the calling process; chunk
-        results that already completed are kept, so a single dead worker at
-        paper scale costs one chunk of work, not the whole trial budget.
+        Returns ``(best, effective_workers, retried_chunks)``.  A chunk
+        the pool loses is re-run in this
+        process; chunk results that already completed are kept, so a
+        single dead worker at paper scale costs one chunk of work, not the
+        whole trial budget.
         """
+        workers = min(pool.workers or 1, len(trial_seeds))
         indexed = list(enumerate(trial_seeds))
         chunks = [indexed[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        start = time.perf_counter()
-        if pool is None:
-            try:
-                owned = ProcessPoolExecutor(max_workers=len(chunks))
-            except POOL_UNAVAILABLE_ERRORS:
-                # Pool unavailable outright (sandboxed/forbidden fork):
-                # degrade gracefully to the plain serial path.
-                best, trial_phase = self._run_serial(
-                    circuit, coupling, initial_mapping, trial_seeds
-                )
-                return best, trial_phase, 1, 0
-            try:
-                chunk_bests, failed = self._collect_chunks(
-                    circuit, coupling, initial_mapping, chunks, owned.submit)
-            finally:
-                owned.shutdown()
-        else:
-            chunk_bests, failed = self._collect_chunks(
-                circuit, coupling, initial_mapping, chunks, pool.submit)
-        trial_phase = time.perf_counter() - start
+        chunk_bests, retried = map_ordered(
+            pool, _run_trial_chunk,
+            [(circuit, coupling, self.params, initial_mapping, chunk)
+             for chunk in chunks],
+        )
         # Serial tie-break: lowest swap count, earliest trial among ties.
-        # Trial indices are unique, so the minimum is order-independent and
-        # re-run chunks appended out of order cannot change the winner.
+        # Trial indices are unique, so the minimum is order-independent.
         winner, best = min(
             chunk_bests, key=lambda pair: (pair[1].swap_count, pair[0])
         )
         best.metadata["winning_trial"] = winner
-        effective = max(1, len(chunks) - len(failed))
-        return best, trial_phase, effective, len(failed)
+        return best, max(1, len(chunks) - retried), retried

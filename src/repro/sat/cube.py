@@ -13,17 +13,18 @@ Determinism contract
 --------------------
 Workers solve cubes with fresh sessions (pure tasks — required by the
 pool's self-healing re-run guarantee) and the merge is *first SAT in cube
-order*: the parent collects results in submission-index order and stops at
-the first SAT, so the winning model is the lowest-index SAT cube's model
-no matter how the pool interleaved the work.  Remaining futures are
-abandoned (early cancellation of the wait; a process pool cannot abort a
-running call) — their results are discarded when they land.  UNSAT needs
-every cube refuted; a cube that exhausts its budget degrades the merged
-answer to UNKNOWN unless a later cube is SAT.
+order*: the fan-out is :func:`repro.parallel.map_ordered` with a
+first-SAT ``stop``, which ends at the lowest-index SAT cube once every
+lower cube is refuted, so the winning model is that cube's model no
+matter how the pool interleaved the work.  Remaining cubes are abandoned
+(a process pool cannot abort a running call) — their results are
+discarded when they land.  UNSAT needs every cube refuted; a cube that
+exhausts its budget degrades the merged answer to UNKNOWN unless a later
+cube is SAT.
 
-Pool casualties degrade per cube: a task lost to
-:data:`repro.parallel.POOL_UNAVAILABLE_ERRORS` is re-solved serially in
-the parent, so the merged outcome is identical with or without a healthy
+Pool casualties degrade per cube: ``map_ordered`` re-solves a cube the
+pool lost serially in the parent (with the time budget its pool attempt
+was given), so the merged outcome is identical with or without a healthy
 pool.
 """
 
@@ -33,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..parallel import map_ordered
 from . import dimacs
 from .backend import get_backend
 from .types import Model, SolverResult
@@ -77,6 +79,10 @@ def solve_cube_task(text: str, assumptions: Sequence[int],
     return result.value, true_vars, session.stats()
 
 
+def _is_sat(answer: Tuple[str, Optional[List[int]], Dict[str, int]]) -> bool:
+    return answer[0] == SolverResult.SAT.value
+
+
 def _rebuild_model(num_vars: int, true_vars: Sequence[int]) -> Model:
     truths = set(true_vars)
     return Model({v: v in truths for v in range(1, num_vars + 1)})
@@ -109,44 +115,30 @@ def solve_cubes(num_vars: int, clauses: Sequence[Sequence[int]],
             return None
         return deadline - time.monotonic()
 
-    futures = []
-    if pool is not None:
+    outcome = CubeOutcome(SolverResult.UNSAT, None)
+    if pool is None:
+        answers = []
+        for cube in cubes:
+            time_limit = remaining()
+            if time_limit is not None and time_limit <= 0:
+                outcome.result = SolverResult.UNKNOWN
+                break
+            answers.append(solve_cube_task(text, base + tuple(cube), backend,
+                                           conflict_limit, time_limit))
+            if _is_sat(answers[-1]):
+                break
+    else:
         time_limit = remaining()
         if time_limit is not None and time_limit <= 0:
             return CubeOutcome(SolverResult.UNKNOWN, None)
-        for cube in cubes:
-            try:
-                futures.append(pool.submit(
-                    solve_cube_task, text, base + tuple(cube),
-                    backend, conflict_limit, time_limit,
-                ))
-            except Exception:  # pool gone mid-fan-out: parent solves it
-                futures.append(None)
-
-    outcome = CubeOutcome(SolverResult.UNSAT, None)
-    saw_unknown = False
-    for index, cube in enumerate(cubes):
-        value: Optional[str] = None
-        if pool is not None and futures[index] is not None:
-            try:
-                value, true_vars, stats = futures[index].result()
-            except Exception:
-                value = None  # casualty: fall through to the parent
-        if value is None:
-            if pool is not None:
-                outcome.pool_fallbacks += 1
-            time_limit = remaining()
-            if time_limit is not None and time_limit <= 0:
-                saw_unknown = True
-                break
-            value, true_vars, stats = solve_cube_task(
-                text, base + tuple(cube), backend, conflict_limit,
-                time_limit,
-            )
-        stats = dict(stats)
-        stats["cube"] = index
-        stats["result"] = value
-        outcome.cube_stats.append(stats)
+        answers, outcome.pool_fallbacks = map_ordered(
+            pool, solve_cube_task,
+            [(text, base + tuple(cube), backend, conflict_limit, time_limit)
+             for cube in cubes],
+            stop=_is_sat,
+        )
+    for index, (value, true_vars, stats) in enumerate(answers):
+        outcome.cube_stats.append(dict(stats, cube=index, result=value))
         result = SolverResult(value)
         if result is SolverResult.SAT:
             outcome.result = SolverResult.SAT
@@ -154,7 +146,5 @@ def solve_cubes(num_vars: int, clauses: Sequence[Sequence[int]],
             outcome.decided_by = index
             return outcome  # first SAT in cube order: deterministic
         if result is SolverResult.UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        outcome.result = SolverResult.UNKNOWN
+            outcome.result = SolverResult.UNKNOWN
     return outcome

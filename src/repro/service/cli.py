@@ -147,7 +147,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .. import faults
     from ..obs import profile as obs_profile
     from ..obs import trace as obs_trace
-    from ..parallel import WorkerPool
+    from ..parallel import borrow_pool
     from .jobs import JobManager
     from .server import ServiceServer
 
@@ -174,33 +174,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # One persistent pool for the server's lifetime: every sync batch and
     # every job fans its misses over the same workers (the single
     # concurrency bound), instead of paying process-pool start-up per
-    # request.  ProcessPoolExecutor.submit is thread-safe, so concurrent
-    # handler threads share it directly.
-    pool = WorkerPool(args.workers) \
-        if args.workers is not None and args.workers > 1 else None
-    service = CompilationService(cache=_build_cache(args), pool=pool)
-    jobs = JobManager(service, journal=args.journal,
-                      max_queued=args.max_queued)
-    if args.journal and jobs.recovered_jobs:
-        print(f"journal: recovered {jobs.recovered_jobs} job(s) "
-              f"from {args.journal}", flush=True)
-    server = ServiceServer(service=service, jobs=jobs,
-                           host=args.host, port=args.port)
-    store = args.cache_dir or "in-memory"
-    print(f"serving on {server.url} (cache: {store}); Ctrl-C to stop",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        clean = server.shutdown()
-        if pool is not None:
-            pool.shutdown()
-        if writer is not None:
-            obs_trace.stop_tracing()
-            print(f"trace: {writer.spans_written} spans -> {writer.path}",
-                  flush=True)
+    # request.  WorkerPool.submit is thread-safe, so concurrent handler
+    # threads share it directly.
+    with borrow_pool(None, args.workers) as pool:
+        service = CompilationService(cache=_build_cache(args), pool=pool)
+        jobs = JobManager(service, journal=args.journal,
+                          max_queued=args.max_queued)
+        if args.journal and jobs.recovered_jobs:
+            print(f"journal: recovered {jobs.recovered_jobs} job(s) "
+                  f"from {args.journal}", flush=True)
+        server = ServiceServer(service=service, jobs=jobs,
+                               host=args.host, port=args.port)
+        store = args.cache_dir or "in-memory"
+        print(f"serving on {server.url} (cache: {store}); Ctrl-C to stop",
+              flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("\nshutting down")
+        finally:
+            clean = server.shutdown()
+            if writer is not None:
+                obs_trace.stop_tracing()
+                print(f"trace: {writer.spans_written} spans -> "
+                      f"{writer.path}", flush=True)
     return 0 if clean else 1
 
 

@@ -290,6 +290,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client closes; with no
+            # length to trust, the rest of the stream cannot be reused.
+            self.close_connection = True
+            self._body_consumed = True
+            raise ServiceError(f"negative Content-Length: {length}")
         raw = self.rfile.read(length) if length else b""
         self._body_consumed = True
         if not raw:

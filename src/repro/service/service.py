@@ -15,9 +15,10 @@ with the same contract the evaluation harness established:
 * **Cache-first short-circuiting** — hits never touch the pool.
 * **Streaming progress** — ``progress`` fires from the parent as each
   response completes (out of request order); only the list is reordered.
-* **Failure isolation** — a miss whose worker dies (pool-level error) is
-  transparently recompiled in the parent; compilation errors raised by
-  the pipeline itself propagate unchanged, serial and parallel alike.
+* **Failure isolation** — the fan-out is :func:`repro.parallel.map_ordered`:
+  a miss the pool loses is recompiled in the parent; compilation errors
+  raised by the pipeline itself propagate unchanged (the parent re-run
+  raises them again), serial and parallel alike.
 
 Results crossing the process boundary travel as canonical payload dicts
 (the exact bytes the cache stores), so a batch-computed response is
@@ -27,12 +28,11 @@ bit-identical to a later cache hit of the same request.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, as_completed
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..parallel import POOL_UNAVAILABLE_ERRORS, WorkerPool
+from ..parallel import WorkerPool, borrow_pool, map_ordered
 from ..pipeline.registry import build_pipeline
 from ..qls.base import QLSResult
 from .api import CompileRequest, CompileResponse, make_provenance
@@ -113,8 +113,8 @@ class CompilationService:
             self.cache = cache if cache is not None else ResultCache()
         self.workers = workers
         self.pool = pool
-        #: Batch misses recompiled in the parent after a pool-level
-        #: failure (the serial-degrade path) — surfaced in ``/v1/healthz``.
+        #: Batch misses the pool lost and the parent recompiled —
+        #: surfaced in ``/v1/healthz``.
         self.pool_fallbacks = 0
 
     # -- single submission -----------------------------------------------------
@@ -196,17 +196,11 @@ class CompilationService:
         requests = list(requests)
         pool = pool if pool is not None else self.pool
         workers = workers if workers is not None else self.workers
-        with obs_trace.span("service.submit_many", requests=len(requests)):
-            if pool is None and (workers is None or workers <= 1):
+        with obs_trace.span("service.submit_many", requests=len(requests)), \
+                borrow_pool(pool, workers) as pool:
+            if pool is None:
                 return self._submit_serial(requests, progress)
-            owned = pool is None
-            if owned:
-                pool = WorkerPool(workers)
-            try:
-                return self._submit_parallel(requests, progress, pool)
-            finally:
-                if owned:
-                    pool.shutdown()
+            return self._submit_parallel(requests, progress, pool)
 
     def map(self, requests: Iterable[CompileRequest],
             progress: Optional[ProgressFn] = None,
@@ -263,64 +257,37 @@ class CompilationService:
             else:
                 compile_indices[key] = index
 
-        # Queue every miss before touching the hits, so workers start on
-        # the expensive compiles immediately; hit responses are then built
-        # in the parent while the pool computes.
-        futures: Dict[Future, str] = {}
-        casualties: List[str] = []
-        for key, index in compile_indices.items():
-            try:
-                future = pool.submit(compile_entry, requests[index])
-            except Exception:  # noqa: BLE001 - pool transport failure
-                casualties.append(key)
-                continue
-            futures[future] = key
+        misses = list(compile_indices.items())
 
-        for index, result, compile_seconds in hits:
-            finish(index, result, compile_seconds, hit=True,
-                   started=time.perf_counter())
+        def tasks() -> Iterator[Tuple[CompileRequest]]:
+            for _, index in misses:
+                yield (requests[index],)
+            # Every miss is queued: build the hit responses in the parent
+            # while the pool compiles.
+            for index, result, compile_seconds in hits:
+                finish(index, result, compile_seconds, hit=True,
+                       started=time.perf_counter())
 
-        def land(key: str, entry: Dict[str, object]) -> None:
+        def land(task: int, entry: Dict[str, object]) -> None:
             # Misses (and the duplicate followers waiting on them) report
             # their batch latency — queueing plus compute — as
             # service_seconds; pre-resolved hits above reported only their
             # serving cost.  Each response decodes its own result object,
             # matching the serial loop (no sharing between responses).
+            key, index = misses[task]
             if self.cache is not None:
                 self.cache.put(key, entry)
             result, compile_seconds = decode_entry(entry)
-            finish(compile_indices[key], result, compile_seconds, hit=False,
+            finish(index, result, compile_seconds, hit=False,
                    started=batch_started)
             for follower in followers.get(key, ()):  # duplicates are hits
                 result, compile_seconds = decode_entry(entry)
                 finish(follower, result, compile_seconds, hit=True,
                        started=batch_started)
 
-        for future in as_completed(list(futures)):
-            key = futures[future]
-            try:
-                entry = future.result()
-            except Exception as exc:  # noqa: BLE001 - see below
-                # Pipeline errors must propagate exactly as in the serial
-                # path; only pool-level transport failures degrade to a
-                # parent-side recompilation.
-                if isinstance(exc, POOL_UNAVAILABLE_ERRORS):
-                    casualties.append(key)
-                    continue
-                raise
-            land(key, entry)
-
-        if casualties:
-            self.pool_fallbacks += len(casualties)
-            if obs_metrics._ACTIVE is not None:
-                obs_metrics.counter(
-                    "repro_pool_fallbacks_total",
-                    "Batch misses recompiled in the parent after a "
-                    "pool-level failure.",
-                ).inc(len(casualties))
-        for key in casualties:
-            land(key, compile_entry(requests[compile_indices[key]]))
-
+        _, fallbacks = map_ordered(pool, compile_entry, tasks(),
+                                   on_result=land)
+        self.pool_fallbacks += fallbacks
         return [response for response in slots if response is not None]
 
     def __repr__(self) -> str:

@@ -227,6 +227,29 @@ class TestErrorBodies:
         with pytest.raises(RemoteServiceError, match="cannot reach"):
             client.healthz()
 
+    def test_negative_content_length_is_400(self, server):
+        """``rfile.read(-1)`` would block until the client hangs up: a
+        negative length is refused before any body is read."""
+        import socket
+
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /v1/compile HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            reply = b""
+            while True:  # the server closes the connection after replying
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        payload = json.loads(body)
+        assert payload["status"] == 400
+        assert "negative Content-Length" in payload["error"]
+
     def test_keepalive_connection_survives_unrouted_post_body(self, server):
         """An unread POST body must be drained before the 404, or it
         would be parsed as the next request on the keep-alive connection."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import get_architecture
 from repro.evalx.harness import evaluate
+from repro.obs import metrics as obs_metrics
 from repro.pipeline import PipelineTool, build_pipeline
 from repro.qls import QLSError, SabreLayout, validate_transpiled
 from repro.qubikos import generate
@@ -191,6 +192,30 @@ class TestBatchFailureRecovery:
             assert b.result.circuit == r.result.circuit
         # the recompilations still warmed the cache
         assert all(r.cache_hit for r in service.submit_many(requests))
+
+
+class TestPooledPipelineErrors:
+    """A pipeline error in a pooled batch reaches the caller unchanged
+    and is not mistaken for a pool failure."""
+
+    @pytest.mark.parametrize("source, spec, match", [
+        # rejected in the parent, while the batch is fingerprinted
+        ("grid3x3", "no-such-stage", "unknown pipeline stage"),
+        # rejected inside the worker that compiles it
+        ("aspen4", "sabre", "circuit needs 16 qubits"),
+    ])
+    def test_error_propagates_without_fallback(self, requests, source,
+                                               spec, match):
+        circuit = generate(get_architecture(source), num_swaps=2,
+                           num_two_qubit_gates=20, seed=1).circuit
+        bad = CompileRequest(circuit=circuit, device="grid3x3", spec=spec)
+        registry = obs_metrics.MetricsRegistry()
+        service = CompilationService(workers=2)
+        with obs_metrics.enabled(registry):
+            with pytest.raises(QLSError, match=match):
+                service.submit_many(requests[:2] + [bad])
+        assert service.pool_fallbacks == 0
+        assert registry.counter("repro_pool_fallbacks_total").total() == 0
 
 
 class TestEvaluateIntegration:

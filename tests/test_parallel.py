@@ -6,18 +6,35 @@ path here exercises the same machinery production failures would.
 """
 
 import os
+import threading
 import time
 
 import pytest
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 
 from repro import faults
 from repro.faults import FaultPlan
-from repro.parallel import POOL_UNAVAILABLE_ERRORS, WorkerPool
+from repro.obs import metrics as obs_metrics
+from repro.parallel import (POOL_UNAVAILABLE_ERRORS, WorkerPool, borrow_pool,
+                            map_ordered)
 
 
 def _square(x):
     return x * x
+
+
+def _echo(x):
+    return x
+
+
+def _type_name(x):
+    return type(x).__name__
+
+
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"task {x} is bad")
+    return x
 
 
 def _sleep_unless_parent(parent_pid, seconds, value):
@@ -137,3 +154,171 @@ class TestTaskTimeout:
         with WorkerPool(workers=1, task_timeout=60) as pool:
             assert pool.submit(_square, 5).result(timeout=120) == 25
         assert pool.stats()["timeout_reruns"] == 0
+
+
+class _ScriptedPool:
+    """A pool with only ``submit``/``workers``: task ``i`` runs ``fn`` on a
+    timer thread after ``delays[i]`` seconds, or fails with ``errors[i]``
+    without running."""
+
+    workers = 2
+
+    def __init__(self, delays=None, errors=None):
+        self.delays = delays or {}
+        self.errors = errors or {}
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        index = len(self.submitted)
+        self.submitted.append(args)
+        future = Future()
+
+        def resolve():
+            if index in self.errors:
+                future.set_exception(self.errors[index])
+                return
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - ship it like a worker
+                future.set_exception(exc)
+
+        timer = threading.Timer(self.delays.get(index, 0.0), resolve)
+        timer.daemon = True
+        timer.start()
+        return future
+
+
+def _fallbacks_counted(registry):
+    return registry.counter("repro_pool_fallbacks_total").total()
+
+
+class TestMapOrdered:
+    def test_submission_order_under_out_of_order_completion(self):
+        pool = _ScriptedPool(delays={0: 0.3, 1: 0.2, 2: 0.1, 3: 0.0})
+        landed = []
+        results, fallbacks = map_ordered(
+            pool, _square, [(n,) for n in range(4)],
+            on_result=lambda index, value: landed.append(index))
+        assert results == [0, 1, 4, 9]
+        assert landed == [3, 2, 1, 0]
+        assert fallbacks == 0
+
+    def test_on_result_fires_once_per_task(self):
+        pool = _ScriptedPool(errors={2: BrokenExecutor("worker killed")})
+        landed = []
+        results, _ = map_ordered(
+            pool, _square, [(n,) for n in range(5)],
+            on_result=lambda index, value: landed.append((index, value)))
+        assert sorted(landed) == [(n, n * n) for n in range(5)]
+        assert results == [n * n for n in range(5)]
+
+    def test_casualties_rerun_after_survivors(self):
+        pool = _ScriptedPool(delays={0: 0.0, 2: 0.1, 3: 0.2},
+                             errors={1: BrokenExecutor("worker killed")})
+        landed = []
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.enabled(registry):
+            results, fallbacks = map_ordered(
+                pool, _square, [(n,) for n in range(4)],
+                on_result=lambda index, value: landed.append(index))
+        assert landed == [0, 2, 3, 1]
+        assert results == [0, 1, 4, 9]
+        assert fallbacks == 1
+        assert _fallbacks_counted(registry) == 1
+
+    def test_unpicklable_argument_rescued_in_parent(self):
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.enabled(registry), WorkerPool(workers=1) as pool:
+            results, fallbacks = map_ordered(
+                pool, _type_name, [(3,), (threading.Lock(),), ("x",)])
+        assert results == ["int", "lock", "str"]
+        assert fallbacks == 1
+        assert _fallbacks_counted(registry) == 1
+
+    def test_raising_fn_propagates_without_fallback(self):
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.enabled(registry), WorkerPool(workers=1) as pool:
+            with pytest.raises(ValueError, match="task 2 is bad"):
+                map_ordered(pool, _fail_on_two, [(n,) for n in range(4)])
+        assert _fallbacks_counted(registry) == 0
+
+    def test_stop_ends_at_lowest_stopping_index(self):
+        # Index 3 stops first, index 1 later; the slow index 4 is never
+        # waited for.
+        pool = _ScriptedPool(delays={0: 0.1, 1: 0.2, 2: 0.15, 3: 0.0,
+                                     4: 5.0})
+        landed = []
+        started = time.perf_counter()
+        results, fallbacks = map_ordered(
+            pool, _echo, [(v,) for v in (0, 7, 3, 9, 8)],
+            on_result=lambda index, value: landed.append(index),
+            stop=lambda value: value > 5)
+        assert time.perf_counter() - started < 4.0
+        assert results == [0, 7]
+        assert 4 not in landed
+        assert fallbacks == 0
+
+    def test_stop_in_parent_rerun_lowers_the_cut(self):
+        pool = _ScriptedPool(errors={0: BrokenExecutor("worker killed")})
+        results, fallbacks = map_ordered(pool, _echo, [(8,), (7,), (6,)],
+                                         stop=lambda value: value > 5)
+        assert results == [8]
+        assert fallbacks == 1
+
+    def test_pool_with_only_submit_and_workers(self):
+        class DeadPool:
+            workers = 2
+
+            def __init__(self):
+                self.calls = 0
+
+            def submit(self, fn, *args):
+                self.calls += 1
+                raise BrokenExecutor("pool is gone")
+
+        pool = DeadPool()
+        results, fallbacks = map_ordered(pool, _square,
+                                         [(n,) for n in range(3)])
+        assert results == [0, 1, 4]
+        assert fallbacks == 3
+        assert pool.calls == 3
+
+    def test_generator_tail_runs_after_every_task_is_queued(self):
+        pool = _ScriptedPool(delays={0: 0.2, 1: 0.2})
+        seen = []
+
+        def tasks():
+            yield (1,)
+            yield (2,)
+            seen.append(len(pool.submitted))
+
+        results, _ = map_ordered(pool, _square, tasks())
+        assert seen == [2]
+        assert results == [1, 4]
+
+    def test_injected_crash_heals_without_fallback(self):
+        with WorkerPool(workers=1, respawn_budget=1) as pool:
+            with faults.injected(FaultPlan.from_spec("pool.task:crash@2")):
+                results, fallbacks = map_ordered(
+                    pool, _square, [(n,) for n in range(4)])
+        assert results == [0, 1, 4, 9]
+        assert fallbacks == 0
+        assert pool.stats()["submitted"] == 4
+
+
+class TestBorrowPool:
+    def test_shared_pool_wins_and_stays_open(self):
+        with WorkerPool(workers=1) as shared:
+            with borrow_pool(shared, workers=4) as pool:
+                assert pool is shared
+            assert not shared.stats()["closed"]
+
+    def test_workers_above_one_owns_a_pool(self):
+        with borrow_pool(None, workers=2) as pool:
+            assert isinstance(pool, WorkerPool) and pool.workers == 2
+        assert pool.stats()["closed"]
+
+    @pytest.mark.parametrize("workers", [None, 0, 1])
+    def test_serial_without_pool_or_workers(self, workers):
+        with borrow_pool(None, workers) as pool:
+            assert pool is None
