@@ -22,7 +22,8 @@
 #
 # Before any of that, the contract linter (repro.lint) must come back
 # clean against the committed baseline — it is the cheapest gate and
-# catches determinism/lock-discipline/registry regressions statically.
+# catches determinism, seed-flow, lock and exception-safety regressions
+# statically.
 # --fail-stale makes leftover baseline entries a hard failure (prune
 # with `python -m repro.lint ... --prune-baseline`).  The run refreshes
 # BENCH_lint.json so bench_report.py tracks analyzer wall-clock (and

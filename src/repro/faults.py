@@ -71,7 +71,8 @@ HTTP_REQUEST = "http.request"
 CLIENT_REQUEST = "client.request"
 JOBS_EXECUTE = "jobs.execute"
 
-#: Every instrumented site (specs may also name future sites freely).
+#: Every instrumented site; a :class:`FaultPoint` naming any other site
+#: is rejected.
 SITES = (POOL_TASK, CACHE_DISK_READ, CACHE_DISK_WRITE, HTTP_REQUEST,
          CLIENT_REQUEST, JOBS_EXECUTE)
 
@@ -100,6 +101,9 @@ class FaultPoint:
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.site not in SITES:
+            raise ValueError(f"unknown fault site {self.site!r} "
+                             f"(one of {', '.join(SITES)})")
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(one of {', '.join(KINDS)})")
@@ -128,6 +132,35 @@ class FaultPoint:
         return text
 
 
+def _parse_point(segment: str, rng: random.Random) -> FaultPoint:
+    """One ``site:kind@at[xN][:key=value,...]`` segment."""
+    head, _, params_text = segment.partition("@")
+    if ":" not in head or not params_text:
+        raise ValueError("expected site:kind@at[:key=value,...]")
+    site, _, kind = head.rpartition(":")
+    occurrence, _, params_text = params_text.partition(":")
+    params: Dict[str, str] = {}
+    for pair in filter(None, params_text.split(",")):
+        key, eq, value = pair.partition("=")
+        if not eq:
+            raise ValueError(f"malformed fault param {pair!r}")
+        params[key.strip()] = value.strip()
+    occurrence = occurrence.strip()
+    count = 1
+    if "x" in occurrence:
+        occurrence, _, count_text = occurrence.partition("x")
+        count = int(count_text)
+    if "-" in occurrence:
+        lo, _, hi = occurrence.partition("-")
+        at = rng.randint(int(lo), int(hi))
+    else:
+        at = int(occurrence)
+    return FaultPoint(site=site.strip(), kind=kind.strip(), at=at,
+                      count=count,
+                      errno_code=int(params.get("errno", _errno.EIO)),
+                      seconds=float(params.get("seconds", 0.0)))
+
+
 class FaultPlan:
     """A seeded, occurrence-counting set of fault points.
 
@@ -150,50 +183,33 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
-        """Parse the CLI/env spec grammar (see the module docstring)."""
+        """Parse the CLI/env spec grammar (see the module docstring).
+
+        Raises ``ValueError`` naming the offending segment on any
+        malformed segment, unknown site or kind, or bad number.
+        """
         seed = 0
-        raw_points: List[Tuple[str, str, str, Dict[str, str]]] = []
+        segments: List[str] = []
         for segment in spec.split(";"):
             segment = segment.strip()
-            if not segment:
-                continue
             if segment.startswith("seed="):
-                seed = int(segment[len("seed="):])
-                continue
-            head, _, params_text = segment.partition("@")
-            if ":" not in head or not params_text:
-                raise ValueError(
-                    f"malformed fault segment {segment!r} "
-                    "(expected site:kind@at[:key=value,...])"
-                )
-            site, _, kind = head.rpartition(":")
-            occurrence, _, params_text = params_text.partition(":")
-            params: Dict[str, str] = {}
-            for pair in filter(None, params_text.split(",")):
-                key, eq, value = pair.partition("=")
-                if not eq:
-                    raise ValueError(f"malformed fault param {pair!r} "
-                                     f"in segment {segment!r}")
-                params[key.strip()] = value.strip()
-            raw_points.append((site.strip(), kind.strip(),
-                               occurrence.strip(), params))
+                try:
+                    seed = int(segment[len("seed="):])
+                except ValueError:
+                    raise ValueError(
+                        f"malformed fault seed {segment!r}") from None
+            elif segment:
+                segments.append(segment)
+        # The seed may follow the points it draws for, so points are
+        # built only once every segment has been read.
         rng = random.Random(seed)
         points = []
-        for site, kind, occurrence, params in raw_points:
-            count = 1
-            if "x" in occurrence:
-                occurrence, _, count_text = occurrence.partition("x")
-                count = int(count_text)
-            if "-" in occurrence:
-                lo, _, hi = occurrence.partition("-")
-                at = rng.randint(int(lo), int(hi))
-            else:
-                at = int(occurrence)
-            points.append(FaultPoint(
-                site=site, kind=kind, at=at, count=count,
-                errno_code=int(params.get("errno", _errno.EIO)),
-                seconds=float(params.get("seconds", 0.0)),
-            ))
+        for segment in segments:
+            try:
+                points.append(_parse_point(segment, rng))
+            except ValueError as exc:
+                raise ValueError(
+                    f"malformed fault segment {segment!r}: {exc}") from None
         return cls(seed=seed, points=points)
 
     @classmethod

@@ -1,9 +1,10 @@
 """Contract linter for this repo: AST-based static analysis.
 
 The goldens pin *behaviour*; :mod:`repro.lint` pins the *conventions*
-that keep the behaviour pinned — determinism of decision paths, lock
-discipline in the serving stack, and the declaration registries for
-fault sites and metrics.  Run it as ``python -m repro.lint [paths]``;
+that keep the behaviour pinned — determinism of decision paths, seed
+flow, and lock and exception discipline in the serving stack.  Metric
+names, fault sites and wire-format coverage are not lint rules: they
+are declared objects checked when used.  Run it as ``python -m repro.lint [paths]``;
 see the README "Static analysis" section for the rule table, pragma
 grammar, and baseline workflow.
 """

@@ -8,9 +8,8 @@ two granularities:
 
 * ``check_file`` runs once per :class:`~repro.lint.source.SourceFile`
   (purely local rules: determinism, lock discipline);
-* ``check_project`` runs once over the whole :class:`Project` (rules
-  that cross-check call sites against a central declaration registry:
-  fault sites, metric names, serialization coverage).
+* ``check_project`` runs once over the whole :class:`Project` (the
+  interprocedural rules: seed flow and lock order, on the call graph).
 
 The engine (:mod:`repro.lint.engine`) owns pragma suppression and the
 baseline (:mod:`repro.lint.baseline`); rules just report everything they
@@ -102,15 +101,6 @@ class Project:
 
     def __init__(self, sources: Sequence[object]) -> None:
         self.sources = list(sources)
-
-    def find_suffix(self, suffix: str):
-        """The first source whose path ends with ``suffix`` (posix
-        match), or ``None`` — how project rules locate their central
-        declaration registry (``repro/faults.py``, ``obs/metrics.py``)."""
-        for source in self.sources:
-            if source.rel.endswith(suffix):
-                return source
-        return None
 
     def parsed(self) -> List[object]:
         """Sources that parsed cleanly (project rules skip the rest)."""

@@ -7,23 +7,17 @@ from typing import Dict, List
 from ..core import Rule
 from .determinism import SetIterationRule, UnseededRandomRule, WallClockRule
 from .exceptsafety import ExceptionSafetyRule
-from .faults_registry import FaultRegistryRule
 from .lockorder import LockOrderRule
 from .locks import LockDisciplineRule
-from .metrics_decl import MetricHygieneRule
 from .seedflow import SeedFlowRule
-from .serialization import SerializationRule
 
-#: Rule classes in documentation order (determinism, locks, registries,
-#: then the interprocedural pass).
+#: Rule classes in documentation order (determinism, locks, then the
+#: interprocedural pass).
 ALL_RULES = (
     SetIterationRule,
     UnseededRandomRule,
     WallClockRule,
     LockDisciplineRule,
-    FaultRegistryRule,
-    MetricHygieneRule,
-    SerializationRule,
     SeedFlowRule,
     LockOrderRule,
     ExceptionSafetyRule,
@@ -42,7 +36,6 @@ def rules_by_id() -> Dict[str, type]:
 __all__ = [
     "ALL_RULES", "default_rules", "rules_by_id",
     "SetIterationRule", "UnseededRandomRule", "WallClockRule",
-    "LockDisciplineRule", "FaultRegistryRule", "MetricHygieneRule",
-    "SerializationRule", "SeedFlowRule", "LockOrderRule",
+    "LockDisciplineRule", "SeedFlowRule", "LockOrderRule",
     "ExceptionSafetyRule",
 ]

@@ -182,10 +182,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def const_str(node: ast.AST) -> Optional[str]:
-    """The value of a string-literal node, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None

@@ -7,13 +7,13 @@ independently-armed facilities:
 * :mod:`repro.obs.metrics` — a thread-safe registry of labeled
   ``Counter``/``Gauge``/``Histogram`` series.  Zero cost when disarmed:
   instrumented hot paths guard with ``if metrics._ACTIVE is not None``
-  (one module-attribute load, the same idiom as :mod:`repro.faults`),
-  and the module-level no-op singletons let call sites hold a metric
-  handle unconditionally.  Snapshots are JSON-safe and mergeable, so
-  :class:`~repro.parallel.WorkerPool` children ship their counters back
-  to the parent piggybacked on task results.  ``GET /v1/metrics`` on the
-  serving front-end renders the armed registry in Prometheus text
-  format (stdlib only).
+  (one module-attribute load, the same idiom as :mod:`repro.faults`).
+  Every emitted metric is declared once there as a module-level object
+  with a closed label set; disarmed, its calls are no-ops.  Snapshots
+  are JSON-safe and mergeable, so :class:`~repro.parallel.WorkerPool`
+  children ship their counters back to the parent piggybacked on task
+  results.  ``GET /v1/metrics`` on the serving front-end renders the
+  armed registry in Prometheus text format (stdlib only).
 * :mod:`repro.obs.trace` — structured tracing.  ``span("name", **attrs)``
   is a context manager emitting one JSONL record per span with
   monotonic-clock durations, sequential (deterministic, diffable) span
@@ -38,9 +38,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     parse_prometheus_text,
 )
 from .trace import Span, TraceWriter, read_trace, render_summary, span, tracing
@@ -48,7 +45,6 @@ from .trace import Span, TraceWriter, read_trace, render_summary, span, tracing
 __all__ = [
     "metrics", "profile", "trace",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
     "parse_prometheus_text",
     "Span", "TraceWriter", "read_trace", "render_summary", "span", "tracing",
 ]

@@ -2,23 +2,28 @@
 
 Design goals, in priority order:
 
-1. **Zero cost when disarmed.**  The armed registry is the module global
+1. **Declared once.**  Every metric this codebase emits is a
+   module-level object below (``ROUTER_SWAPS``, ``CACHE_EVENTS``, ...)
+   carrying its kind, name, help text and closed label tuple.  Call
+   sites use the object — ``metrics.ROUTER_SWAPS.inc(n, router="sabre")``
+   — and never restate a name or help string, so a misspelled metric is
+   an ``AttributeError`` and, when armed, a label set other than the
+   declared one raises ``ValueError`` at the call.
+2. **Zero cost when disarmed.**  The armed registry is the module global
    :data:`_ACTIVE`; instrumented hot paths guard every metric call with
    ``if metrics._ACTIVE is not None`` — one module-attribute load, no
-   function call, no allocation (the :mod:`repro.faults` idiom).  The
-   module-level helpers (:func:`counter`, :func:`gauge`,
-   :func:`histogram`) return shared no-op singletons when disarmed, so
-   colder call sites can skip the guard entirely.
-2. **Thread safety.**  One registry backs a threaded HTTP server plus
+   function call, no allocation (the :mod:`repro.faults` idiom).  A
+   declared metric called while disarmed is a no-op.
+3. **Thread safety.**  One registry backs a threaded HTTP server plus
    the job executor; every mutation runs under the registry lock.
-3. **Snapshot / merge.**  :meth:`MetricsRegistry.snapshot` is JSON-safe
+4. **Snapshot / merge.**  :meth:`MetricsRegistry.snapshot` is JSON-safe
    and :meth:`MetricsRegistry.merge` is additive for counters and
    histograms, so worker processes can ship their metric deltas back to
    the parent piggybacked on task results
    (:class:`~repro.parallel.WorkerPool` does exactly that).  Gauges are
    process-local moment-in-time values: they merge last-write-wins and
    are excluded from deltas.
-4. **Prometheus text rendering**, stdlib only —
+5. **Prometheus text rendering**, stdlib only —
    :meth:`MetricsRegistry.render_prometheus` backs ``GET /v1/metrics``.
 
 Metric names follow Prometheus conventions (``repro_<noun>_total`` for
@@ -35,34 +40,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Legal Prometheus metric / label names.
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-#: Every metric this codebase emits: ``name -> (kind, closed label set)``.
-#: This is the single source of truth the ``metric-hygiene`` lint rule
-#: checks call sites against — an undeclared name, a kind mismatch, or a
-#: label set differing from the one declared here fails ``repro.lint``.
-#: Keep it sorted by name.
-DECLARED_METRICS = {
-    "repro_cache_events_total": ("counter", ("event",)),
-    "repro_http_request_seconds": ("histogram", ("method", "endpoint")),
-    "repro_http_requests_by_client_total": ("counter", ("client",)),
-    "repro_http_requests_total": ("counter",
-                                  ("method", "endpoint", "status")),
-    "repro_jobs_queue_depth": ("gauge", ()),
-    "repro_jobs_transitions_total": ("counter", ("status",)),
-    "repro_pipeline_runs_total": ("counter", ("pipeline",)),
-    "repro_pipeline_stage_seconds": ("histogram", ("stage",)),
-    "repro_pool_fallbacks_total": ("counter", ()),
-    "repro_pool_recovered_tasks_total": ("counter", ()),
-    "repro_pool_respawns_total": ("counter", ()),
-    "repro_pool_tasks_total": ("counter", ()),
-    "repro_pool_timeout_reruns_total": ("counter", ()),
-    "repro_router_swaps_total": ("counter", ("router",)),
-    "repro_sat_conflicts_total": ("counter", ("bound",)),
-    "repro_sat_restarts_total": ("counter", ("bound",)),
-    "repro_sat_solves_total": ("counter", ("outcome", "mode")),
-    "repro_service_compile_seconds": ("histogram", ()),
-    "repro_service_requests_total": ("counter", ("result",)),
-}
 
 #: Label tuple: sorted ``(name, value)`` pairs — the series key.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -211,43 +188,6 @@ class Histogram(_Metric):
         with self.registry._lock:
             state = self._series.get(_label_key(labels))
             return float(state["sum"]) if state else 0.0
-
-
-class _NullMetric:
-    """Shared no-op stand-in for every metric kind when disarmed."""
-
-    __slots__ = ()
-    kind = "null"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def count(self, **labels: object) -> int:
-        return 0
-
-    def sum(self, **labels: object) -> float:
-        return 0.0
-
-
-#: The module-level no-op singletons: one shared instance, never allocated
-#: per call, so a disarmed ``metrics.counter(...)`` costs a dict-free
-#: global load plus one method call.
-NULL_COUNTER = NULL_GAUGE = NULL_HISTOGRAM = _NullMetric()
 
 
 class MetricsRegistry:
@@ -487,25 +427,6 @@ def active() -> Optional[MetricsRegistry]:
     return _ACTIVE
 
 
-def counter(name: str, help: str = "") -> Counter:  # noqa: A002
-    """The armed registry's counter, or the shared no-op when disarmed."""
-    registry = _ACTIVE
-    return registry.counter(name, help) if registry is not None \
-        else NULL_COUNTER
-
-
-def gauge(name: str, help: str = "") -> Gauge:  # noqa: A002
-    registry = _ACTIVE
-    return registry.gauge(name, help) if registry is not None else NULL_GAUGE
-
-
-def histogram(name: str, help: str = "",  # noqa: A002
-              buckets: Optional[Sequence[float]] = None) -> Histogram:
-    registry = _ACTIVE
-    return registry.histogram(name, help, buckets=buckets) \
-        if registry is not None else NULL_HISTOGRAM
-
-
 def merge_active(snapshot: Optional[Dict[str, Dict[str, object]]]) -> None:
     """Fold a child-process snapshot into the armed registry (no-op when
     disarmed or the snapshot is empty)."""
@@ -539,11 +460,149 @@ def disabled() -> Iterator[None]:
         _ACTIVE = previous
 
 
+# -- the declared metrics ------------------------------------------------------
+
+#: Every declared metric by name (filled in by the declarations below).
+DECLARED: Dict[str, "_Declared"] = {}
+
+
+class _Declared:
+    """One declared metric: kind, name, help text and closed label set.
+
+    A no-op while disarmed.  Armed, a call resolves the armed registry's
+    metric by name (so worker snapshots merge into the same series) after
+    checking that the labels passed are exactly the declared ones.
+    """
+
+    __slots__ = ("name", "help", "labels", "_label_set")
+    kind = "untyped"
+
+    def __init__(self, name: str, help: str,  # noqa: A002
+                 labels: Tuple[str, ...] = ()) -> None:
+        if name in DECLARED:
+            raise ValueError(f"metric {name!r} is declared twice")
+        self.name = _check_name(name)
+        self.help = help
+        self.labels = tuple(_check_name(label) for label in labels)
+        self._label_set = frozenset(self.labels)
+        DECLARED[name] = self
+
+    def _armed(self, labels: Dict[str, object]) -> Optional[_Metric]:
+        registry = _ACTIVE
+        if registry is None:
+            return None
+        if labels.keys() != self._label_set:
+            raise ValueError(
+                f"metric {self.name!r} takes labels "
+                f"({', '.join(self.labels)}), got ({', '.join(labels)})"
+            )
+        return getattr(registry, self.kind)(self.name, self.help)
+
+
+class DeclaredCounter(_Declared):
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        metric = self._armed(labels)
+        if metric is not None:
+            metric.inc(amount, **labels)
+
+
+class DeclaredGauge(_Declared):
+    __slots__ = ()
+    kind = "gauge"
+
+    def set(self, value: float, **labels: object) -> None:
+        metric = self._armed(labels)
+        if metric is not None:
+            metric.set(value, **labels)
+
+
+class DeclaredHistogram(_Declared):
+    __slots__ = ()
+    kind = "histogram"
+
+    def observe(self, value: float, **labels: object) -> None:
+        metric = self._armed(labels)
+        if metric is not None:
+            metric.observe(value, **labels)
+
+
+CACHE_EVENTS = DeclaredCounter(
+    "repro_cache_events_total",
+    "Result-cache events (hit, miss, eviction, quarantine, ...).",
+    ("event",))
+HTTP_REQUEST_SECONDS = DeclaredHistogram(
+    "repro_http_request_seconds",
+    "HTTP request latency by method and endpoint.",
+    ("method", "endpoint"))
+HTTP_REQUESTS_BY_CLIENT = DeclaredCounter(
+    "repro_http_requests_by_client_total",
+    "HTTP requests by X-Client-Id.",
+    ("client",))
+HTTP_REQUESTS = DeclaredCounter(
+    "repro_http_requests_total",
+    "HTTP requests by method, endpoint, and response status.",
+    ("method", "endpoint", "status"))
+JOBS_QUEUE_DEPTH = DeclaredGauge(
+    "repro_jobs_queue_depth",
+    "Jobs currently waiting in the queue.")
+JOBS_TRANSITIONS = DeclaredCounter(
+    "repro_jobs_transitions_total",
+    "Job lifecycle transitions by destination status.",
+    ("status",))
+PIPELINE_RUNS = DeclaredCounter(
+    "repro_pipeline_runs_total",
+    "Completed pipeline runs.",
+    ("pipeline",))
+PIPELINE_STAGE_SECONDS = DeclaredHistogram(
+    "repro_pipeline_stage_seconds",
+    "Wall-clock seconds per pipeline stage.",
+    ("stage",))
+POOL_FALLBACKS = DeclaredCounter(
+    "repro_pool_fallbacks_total",
+    "Tasks a pool lost that the parent re-ran to completion.")
+POOL_RECOVERED_TASKS = DeclaredCounter(
+    "repro_pool_recovered_tasks_total",
+    "Tasks re-run to completion across a respawn.")
+POOL_RESPAWNS = DeclaredCounter(
+    "repro_pool_respawns_total",
+    "Executor rebuilds after worker casualties.")
+POOL_TASKS = DeclaredCounter(
+    "repro_pool_tasks_total",
+    "Tasks submitted to the pool.")
+POOL_TIMEOUT_RERUNS = DeclaredCounter(
+    "repro_pool_timeout_reruns_total",
+    "Straggler tasks re-run in the parent process.")
+ROUTER_SWAPS = DeclaredCounter(
+    "repro_router_swaps_total",
+    "SWAP gates inserted by routing passes.",
+    ("router",))
+SAT_CONFLICTS = DeclaredCounter(
+    "repro_sat_conflicts_total",
+    "CDCL conflicts per swap bound k.",
+    ("bound",))
+SAT_RESTARTS = DeclaredCounter(
+    "repro_sat_restarts_total",
+    "CDCL restarts per swap bound k.",
+    ("bound",))
+SAT_SOLVES = DeclaredCounter(
+    "repro_sat_solves_total",
+    "Exact QLS searches by outcome and mode.",
+    ("outcome", "mode"))
+SERVICE_COMPILE_SECONDS = DeclaredHistogram(
+    "repro_service_compile_seconds",
+    "Wall-clock seconds per cache-miss compilation.")
+SERVICE_REQUESTS = DeclaredCounter(
+    "repro_service_requests_total",
+    "Compile requests resolved by the service.",
+    ("result",))
+
+
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "DECLARED_METRICS",
-    "DEFAULT_BUCKETS", "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
+    "DECLARED", "DeclaredCounter", "DeclaredGauge", "DeclaredHistogram",
     "enable", "disable", "active", "enabled", "disabled",
-    "counter", "gauge", "histogram",
     "merge_active", "snapshot_delta", "parse_prometheus_text",
 ]

@@ -175,9 +175,7 @@ class WorkerPool:
             # Post-respawn retries and parent re-runs use the clean
             # payload and go unmetered — correctness over completeness.
             attempt = (_metered_call, (fn,) + args)
-            obs_metrics.counter(
-                "repro_pool_tasks_total", "Tasks submitted to the pool.",
-            ).inc()
+            obs_metrics.POOL_TASKS.inc()
         with self._lock:
             if self._closed:
                 raise BrokenExecutor("WorkerPool was shut down")
@@ -259,10 +257,7 @@ class WorkerPool:
                 with self._lock:
                     self._recovered_tasks += 1
                 if obs_metrics._ACTIVE is not None:
-                    obs_metrics.counter(
-                        "repro_pool_recovered_tasks_total",
-                        "Tasks re-run to completion across a respawn.",
-                    ).inc()
+                    obs_metrics.POOL_RECOVERED_TASKS.inc()
                 self._start(task, outer)
                 return
         self._settle(task, outer, error=exc)
@@ -282,10 +277,7 @@ class WorkerPool:
                 self._generation += 1
                 self._respawns += 1
                 if obs_metrics._ACTIVE is not None:
-                    obs_metrics.counter(
-                        "repro_pool_respawns_total",
-                        "Executor rebuilds after worker casualties.",
-                    ).inc()
+                    obs_metrics.POOL_RESPAWNS.inc()
             else:
                 # A sibling already respawned for this breakage; resubmit
                 # onto the current executor (if that one is broken too,
@@ -307,10 +299,7 @@ class WorkerPool:
             self._timeout_reruns += 1
             self._timers.pop(id(task), None)
         if obs_metrics._ACTIVE is not None:
-            obs_metrics.counter(
-                "repro_pool_timeout_reruns_total",
-                "Straggler tasks re-run in the parent process.",
-            ).inc()
+            obs_metrics.POOL_TIMEOUT_RERUNS.inc()
         try:
             value = task.fn(*task.args)
         except BaseException as exc:  # noqa: BLE001 - mirrors worker behaviour
@@ -448,10 +437,7 @@ def map_ordered(pool, fn: Callable, arg_tuples: Iterable[Tuple],
         value = fn(*tasks[index])
         fallbacks += 1
         if obs_metrics._ACTIVE is not None:
-            obs_metrics.counter(
-                "repro_pool_fallbacks_total",
-                "Tasks a pool lost that the parent re-ran to completion.",
-            ).inc()
+            obs_metrics.POOL_FALLBACKS.inc()
         if land(index, value):
             cut = index
             break

@@ -142,18 +142,13 @@ class Pipeline:
                     profile = {"cpu_seconds": cpu_seconds,
                                "counts": collector.delta_since(counts_before)}
                 if obs_metrics._ACTIVE is not None:
-                    obs_metrics.histogram(
-                        "repro_pipeline_stage_seconds",
-                        "Wall-clock seconds per pipeline stage.",
-                    ).observe(seconds, stage=stage.name)
+                    obs_metrics.PIPELINE_STAGE_SECONDS.observe(
+                        seconds, stage=stage.name)
                 stages.append(StageRecord(name=stage.name, seconds=seconds,
                                           swaps_after=current.swap_count(),
                                           profile=profile))
             if obs_metrics._ACTIVE is not None:
-                obs_metrics.counter(
-                    "repro_pipeline_runs_total",
-                    "Completed pipeline runs.",
-                ).inc(pipeline=self.name)
+                obs_metrics.PIPELINE_RUNS.inc(pipeline=self.name)
         if context.initial_mapping is None:
             raise QLSError(
                 f"pipeline {self.name!r} finished without an initial "

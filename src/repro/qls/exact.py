@@ -496,22 +496,16 @@ class ExactSolver(QLSTool):
                 if key != "k" and isinstance(value, int):
                     totals[key] = totals.get(key, 0) + value
         if obs_metrics._ACTIVE is not None:
-            conflicts = obs_metrics.counter(
-                "repro_sat_conflicts_total",
-                "CDCL conflicts per swap bound k.")
-            restarts = obs_metrics.counter(
-                "repro_sat_restarts_total",
-                "CDCL restarts per swap bound k.")
             for entry in stats:
                 bound = str(entry.get("k", "?"))
-                conflicts.inc(entry.get("conflicts", 0), bound=bound)
-                restarts.inc(entry.get("restarts", 0), bound=bound)
-            obs_metrics.counter(
-                "repro_sat_solves_total",
-                "Exact QLS searches by outcome and mode.",
-            ).inc(outcome="timeout" if timed_out else
-                  ("optimal" if optimal is not None else "exhausted"),
-                  mode=mode)
+                obs_metrics.SAT_CONFLICTS.inc(entry.get("conflicts", 0),
+                                              bound=bound)
+                obs_metrics.SAT_RESTARTS.inc(entry.get("restarts", 0),
+                                             bound=bound)
+            obs_metrics.SAT_SOLVES.inc(
+                outcome="timeout" if timed_out else
+                ("optimal" if optimal is not None else "exhausted"),
+                mode=mode)
         return ExactOutcome(optimal, lower_bound, result, stats,
                             timed_out=timed_out, totals=totals,
                             backend=self.backend, mode=mode)

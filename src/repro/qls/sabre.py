@@ -394,10 +394,7 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
             decay.clear()
             swaps_since_reset = 0
     if obs_metrics._ACTIVE is not None:
-        obs_metrics.counter(
-            "repro_router_swaps_total",
-            "SWAP gates inserted by routing passes.",
-        ).inc(swap_count, router="sabre")
+        obs_metrics.ROUTER_SWAPS.inc(swap_count, router="sabre")
     return RoutingOutcome(
         routed=routed, swap_count=swap_count, final_mapping=mapping,
         mapping_at=timeline if timeline is not None else {},

@@ -45,12 +45,9 @@ ENTRY_SCHEMA_VERSION = 1
 
 def _note(event: str, amount: int = 1) -> None:
     """Mirror one :class:`CacheStats` increment into the armed metrics
-    registry (``repro_cache_events_total{event=...}``); no-op disarmed."""
+    registry (:data:`~repro.obs.metrics.CACHE_EVENTS`); no-op disarmed."""
     if obs_metrics._ACTIVE is not None:
-        obs_metrics.counter(
-            "repro_cache_events_total",
-            "Result-cache events (hit, miss, eviction, quarantine, ...).",
-        ).inc(amount, event=event)
+        obs_metrics.CACHE_EVENTS.inc(amount, event=event)
 
 
 @dataclass

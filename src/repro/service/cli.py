@@ -154,10 +154,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Fault injection: --faults wins over $REPRO_FAULTS; either arms a
     # deterministic plan for the server's whole lifetime (chaos tests
     # drive a real subprocess this way).
-    spec = args.faults if args.faults is not None \
-        else os.environ.get(faults.ENV_VAR)
+    source, spec = ("--faults", args.faults) if args.faults is not None \
+        else (f"${faults.ENV_VAR}", os.environ.get(faults.ENV_VAR))
     if spec:
-        plan = faults.arm(faults.FaultPlan.from_spec(spec))
+        try:
+            plan = faults.FaultPlan.from_spec(spec)
+        except ValueError as exc:
+            print(f"error: {source}: {exc}", file=sys.stderr)
+            return 2
+        faults.arm(plan)
         print(f"fault plan armed: {plan.spec()}", flush=True)
 
     # Observability arming: --trace wins over $REPRO_TRACE; --profile

@@ -245,14 +245,8 @@ class JobManager:
         must be called with the manager lock held (reads the queue)."""
         if obs_metrics._ACTIVE is None:
             return
-        obs_metrics.counter(
-            "repro_jobs_transitions_total",
-            "Job lifecycle transitions by destination status.",
-        ).inc(status=job.status.value)
-        obs_metrics.gauge(
-            "repro_jobs_queue_depth",
-            "Jobs currently waiting in the queue.",
-        ).set(self._queued_count())
+        obs_metrics.JOBS_TRANSITIONS.inc(status=job.status.value)
+        obs_metrics.JOBS_QUEUE_DEPTH.set(self._queued_count())
 
     def _all_cached(self, fingerprints: List[str]) -> bool:
         """True when every fingerprint has a *decodable* cache entry.

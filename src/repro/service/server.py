@@ -49,6 +49,9 @@ Robustness contract
   ``504`` (with ``Retry-After``) *between* batch items, never mid-item —
   everything compiled before the cut is already cached, so the retry
   pays only for the remainder.
+* **Bounded bodies** — a ``Content-Length`` above
+  :data:`MAX_BODY_BYTES` is answered with ``413`` before any of the body
+  is read, and the connection is closed.
 * **Draining shutdown** — :meth:`ServiceServer.shutdown` stops the
   accept loop, lets the running job finish (``drain=True``), and returns
   ``False`` (after a logged warning naming the stuck job) instead of
@@ -90,6 +93,11 @@ from .service import CompilationService
 BAD_REQUEST_ERRORS = (ServiceError, QLSError, KeyError, TypeError,
                       IndexError, ValueError)
 
+#: Largest request body the server reads, in bytes (see "Bounded
+#: bodies" above).  A 1000-gate circuit is ~16 KB on the wire, so a batch
+#: of thousands of them fits.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: Request header bounding one ``POST /v1/compile`` wall-clock budget.
 DEADLINE_HEADER = "X-Deadline-Seconds"
 
@@ -119,6 +127,10 @@ def _endpoint_label(path: str) -> str:
 
 class _DeadlineExceeded(Exception):
     """Internal: a request's ``X-Deadline-Seconds`` budget expired."""
+
+
+class _BodyTooLarge(Exception):
+    """Internal: a ``Content-Length`` above :data:`MAX_BODY_BYTES`."""
 
 
 class ServiceServer:
@@ -266,7 +278,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self._body_consumed:
             return
         self._body_consumed = True
-        remaining = int(self.headers.get("Content-Length") or 0)
+        remaining = self._content_length()
+        if remaining is None or not 0 <= remaining <= MAX_BODY_BYTES:
+            # No length it may read: end the connection instead.
+            self.close_connection = True
+            return
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 65536))
             if not chunk:
@@ -288,14 +304,29 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             pass
 
+    def _content_length(self) -> Optional[int]:
+        """The ``Content-Length`` header (0 when absent), or ``None``
+        when it is not an integer."""
+        try:
+            return int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return None
+
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            # rfile.read(-1) would block until the client closes; with no
-            # length to trust, the rest of the stream cannot be reused.
+        length = self._content_length()
+        if length is None or not 0 <= length <= MAX_BODY_BYTES:
+            # rfile.read(-1) would block until the client closes, and an
+            # oversized body is never read; either way the rest of the
+            # stream cannot be reused.
             self.close_connection = True
             self._body_consumed = True
-            raise ServiceError(f"negative Content-Length: {length}")
+            if length is None:
+                raise ServiceError("non-numeric Content-Length: "
+                                   f"{self.headers.get('Content-Length')!r}")
+            if length < 0:
+                raise ServiceError(f"negative Content-Length: {length}")
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         self._body_consumed = True
         if not raw:
@@ -353,6 +384,8 @@ class _Handler(BaseHTTPRequestHandler):
             # only for the remainder.
             self._send_error_json(504, f"{exc}",
                                   headers={"Retry-After": "1"})
+        except _BodyTooLarge as exc:
+            self._send_error_json(413, f"{exc}")
         except BAD_REQUEST_ERRORS as exc:
             self._send_error_json(400, f"{exc}")
         except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
@@ -373,20 +406,12 @@ class _Handler(BaseHTTPRequestHandler):
         if obs_metrics._ACTIVE is None:
             return
         status = str(self._status) if self._status is not None else "reset"
-        obs_metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests by method, endpoint, and response status.",
-        ).inc(method=method, endpoint=endpoint, status=status)
-        obs_metrics.histogram(
-            "repro_http_request_seconds",
-            "HTTP request latency by method and endpoint.",
-        ).observe(time.perf_counter() - started,
-                  method=method, endpoint=endpoint)
+        obs_metrics.HTTP_REQUESTS.inc(method=method, endpoint=endpoint,
+                                      status=status)
+        obs_metrics.HTTP_REQUEST_SECONDS.observe(
+            time.perf_counter() - started, method=method, endpoint=endpoint)
         if client:
-            obs_metrics.counter(
-                "repro_http_requests_by_client_total",
-                "HTTP requests by X-Client-Id.",
-            ).inc(client=client)
+            obs_metrics.HTTP_REQUESTS_BY_CLIENT.inc(client=client)
 
     def _route(self, method: str, path: str) -> bool:
         app = self.app
@@ -525,4 +550,4 @@ def serve(service: Optional[CompilationService] = None,
     return ServiceServer(service=service, host=host, port=port).start()
 
 
-__all__ = ["ServiceServer", "serve", "BAD_REQUEST_ERRORS"]
+__all__ = ["ServiceServer", "serve", "BAD_REQUEST_ERRORS", "MAX_BODY_BYTES"]

@@ -144,15 +144,9 @@ class CompilationService:
     def _count(hit: bool, compile_seconds: float) -> None:
         if obs_metrics._ACTIVE is None:
             return
-        obs_metrics.counter(
-            "repro_service_requests_total",
-            "Compile requests resolved by the service.",
-        ).inc(result="hit" if hit else "miss")
+        obs_metrics.SERVICE_REQUESTS.inc(result="hit" if hit else "miss")
         if not hit:
-            obs_metrics.histogram(
-                "repro_service_compile_seconds",
-                "Wall-clock seconds per cache-miss compilation.",
-            ).observe(compile_seconds)
+            obs_metrics.SERVICE_COMPILE_SECONDS.observe(compile_seconds)
 
     def _lookup(self, key: str) -> Optional[Tuple[QLSResult, float]]:
         """Decoded cache entry for ``key``, or ``None`` (miss *or* a

@@ -136,7 +136,7 @@ class TestJobTransitions:
 
 
 def _bump_and_square(value):
-    obs_metrics.counter("repro_child_events_total").inc(2, src="child")
+    obs_metrics.ROUTER_SWAPS.inc(2, router="child")
     return value * value
 
 
@@ -147,8 +147,8 @@ class TestPoolPiggyback:
         with WorkerPool(workers=1) as pool:
             futures = [pool.submit(_bump_and_square, k) for k in range(3)]
             assert [f.result(timeout=60) for f in futures] == [0, 1, 4]
-        child = armed_registry.counter("repro_child_events_total")
-        assert child.value(src="child") == 6
+        child = armed_registry.counter("repro_router_swaps_total")
+        assert child.value(router="child") == 6
         assert armed_registry.counter(
             "repro_pool_tasks_total").total() == 3
 

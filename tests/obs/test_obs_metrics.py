@@ -6,7 +6,6 @@ from repro.obs import metrics as obs
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    NULL_COUNTER,
     parse_prometheus_text,
     snapshot_delta,
 )
@@ -190,20 +189,19 @@ class TestPrometheusText:
 
 
 class TestArming:
-    def test_disarmed_helpers_return_null_singletons(self):
+    def test_declared_metrics_are_noops_when_disarmed(self):
         with obs.disabled():
-            assert obs.counter("repro_x_total") is NULL_COUNTER
-            assert obs.gauge("repro_x") is NULL_COUNTER
-            assert obs.histogram("repro_x_seconds") is NULL_COUNTER
-            obs.counter("repro_x_total").inc()  # harmless no-op
-            assert obs.counter("repro_x_total").value() == 0
+            obs.POOL_TASKS.inc()
+            obs.JOBS_QUEUE_DEPTH.set(3)
+            obs.SERVICE_COMPILE_SECONDS.observe(0.5)
+            assert obs.active() is None
 
     def test_enabled_context_restores_previous(self):
         with obs.disabled():
             with obs.enabled() as registry:
                 assert obs.active() is registry
-                obs.counter("repro_x_total").inc()
-                assert registry.counter("repro_x_total").total() == 1
+                obs.POOL_TASKS.inc()
+                assert registry.counter(obs.POOL_TASKS.name).total() == 1
             assert obs.active() is None
 
     def test_enable_is_idempotent_without_argument(self):
@@ -223,3 +221,102 @@ class TestArming:
             assert registry.counter("repro_x_total").total() == 1
             obs.merge_active(None)  # empty piggyback
             assert registry.counter("repro_x_total").total() == 1
+
+
+#: ``# HELP``/``# TYPE`` lines of every declared metric, as rendered by
+#: ``GET /v1/metrics``.  perfbench and dashboards read these names: a
+#: change here is an interface change.
+PROMETHEUS_INTERFACE = """\
+# HELP repro_cache_events_total Result-cache events (hit, miss, eviction, quarantine, ...).
+# TYPE repro_cache_events_total counter
+# HELP repro_http_request_seconds HTTP request latency by method and endpoint.
+# TYPE repro_http_request_seconds histogram
+# HELP repro_http_requests_by_client_total HTTP requests by X-Client-Id.
+# TYPE repro_http_requests_by_client_total counter
+# HELP repro_http_requests_total HTTP requests by method, endpoint, and response status.
+# TYPE repro_http_requests_total counter
+# HELP repro_jobs_queue_depth Jobs currently waiting in the queue.
+# TYPE repro_jobs_queue_depth gauge
+# HELP repro_jobs_transitions_total Job lifecycle transitions by destination status.
+# TYPE repro_jobs_transitions_total counter
+# HELP repro_pipeline_runs_total Completed pipeline runs.
+# TYPE repro_pipeline_runs_total counter
+# HELP repro_pipeline_stage_seconds Wall-clock seconds per pipeline stage.
+# TYPE repro_pipeline_stage_seconds histogram
+# HELP repro_pool_fallbacks_total Tasks a pool lost that the parent re-ran to completion.
+# TYPE repro_pool_fallbacks_total counter
+# HELP repro_pool_recovered_tasks_total Tasks re-run to completion across a respawn.
+# TYPE repro_pool_recovered_tasks_total counter
+# HELP repro_pool_respawns_total Executor rebuilds after worker casualties.
+# TYPE repro_pool_respawns_total counter
+# HELP repro_pool_tasks_total Tasks submitted to the pool.
+# TYPE repro_pool_tasks_total counter
+# HELP repro_pool_timeout_reruns_total Straggler tasks re-run in the parent process.
+# TYPE repro_pool_timeout_reruns_total counter
+# HELP repro_router_swaps_total SWAP gates inserted by routing passes.
+# TYPE repro_router_swaps_total counter
+# HELP repro_sat_conflicts_total CDCL conflicts per swap bound k.
+# TYPE repro_sat_conflicts_total counter
+# HELP repro_sat_restarts_total CDCL restarts per swap bound k.
+# TYPE repro_sat_restarts_total counter
+# HELP repro_sat_solves_total Exact QLS searches by outcome and mode.
+# TYPE repro_sat_solves_total counter
+# HELP repro_service_compile_seconds Wall-clock seconds per cache-miss compilation.
+# TYPE repro_service_compile_seconds histogram
+# HELP repro_service_requests_total Compile requests resolved by the service.
+# TYPE repro_service_requests_total counter
+"""
+
+
+def _drive(metric, **labels):
+    """One call of ``metric``'s kind-specific method."""
+    if metric.kind == "counter":
+        metric.inc(**labels)
+    elif metric.kind == "gauge":
+        metric.set(1, **labels)
+    else:
+        metric.observe(0.5, **labels)
+
+
+class TestDeclaredMetrics:
+    def test_prometheus_interface_is_pinned(self):
+        with obs.enabled() as registry:
+            for metric in obs.DECLARED.values():
+                _drive(metric, **{label: "x" for label in metric.labels})
+            text = registry.render_prometheus()
+        comments = [line for line in text.splitlines()
+                    if line.startswith("#")]
+        assert "\n".join(comments) + "\n" == PROMETHEUS_INTERFACE
+
+    @pytest.mark.parametrize("labels", [
+        {"endpoint": "/v1/compile", "status": "200"},            # missing
+        {"method": "GET", "endpoint": "/", "status": "200",
+         "client": "c"},                                          # extra
+        {"method": "GET", "path": "/", "status": "200"},         # renamed
+    ], ids=["missing", "extra", "renamed"])
+    def test_wrong_label_set_raises_when_armed(self, labels):
+        with obs.enabled() as registry:
+            with pytest.raises(ValueError, match="takes labels"):
+                obs.HTTP_REQUESTS.inc(**labels)
+            assert registry.names() == []
+
+    def test_wrong_label_set_is_silent_when_disarmed(self):
+        with obs.disabled():
+            obs.HTTP_REQUESTS.inc(method="GET", path="/", status="200")
+            obs.POOL_TASKS.inc(extra="label")
+
+    def test_label_order_does_not_matter(self):
+        with obs.enabled() as registry:
+            obs.HTTP_REQUESTS.inc(status="200", endpoint="/", method="GET")
+            assert registry.counter(obs.HTTP_REQUESTS.name).value(
+                method="GET", endpoint="/", status="200") == 1
+
+    def test_kind_methods_are_closed(self):
+        with pytest.raises(AttributeError):
+            obs.POOL_TASKS.observe(1.0)  # a counter has no observe
+        with pytest.raises(AttributeError):
+            obs.POOL_TASKZ.inc()  # a misspelled metric
+
+    def test_duplicate_declaration_rejected(self):
+        with pytest.raises(ValueError, match="declared twice"):
+            obs.DeclaredCounter(obs.POOL_TASKS.name, "again")

@@ -6,10 +6,12 @@ round-trip exactly — gate streams, float parameters and timings, stage
 records, mappings, metadata.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +25,14 @@ from repro.circuit.gates import (
 )
 from repro.evalx.harness import RunRecord, evaluate
 from repro.pipeline import PipelineResult, StageRecord, build_pipeline
-from repro.qls.base import QLSResult
+from repro.qls.base import _RESULT_TYPES, QLSResult
 from repro.qubikos import Mapping
-from repro.service import CompileRequest, canonical_json
+from repro.service import (
+    CompilationService,
+    CompileRequest,
+    CompileResponse,
+    canonical_json,
+)
 
 
 def circuit_hash(circuit):
@@ -149,6 +156,59 @@ class TestResultRoundTrip:
         payload["type"] = "MysteryResult"
         with pytest.raises(ValueError, match="unknown result type"):
             QLSResult.from_dict(payload)
+
+
+def wire_classes():
+    """Every dataclass that can cross the wire inside a CompileResponse:
+    the dataclasses named by field types (through ``List[...]`` and the
+    like) reachable from ``CompileResponse`` and from every registered
+    result type, which ``QLSResult.from_dict`` may dispatch to."""
+    roots = [CompileResponse, *_RESULT_TYPES.values()]
+    queue, seen = list(roots), []
+    while queue:
+        cls = queue.pop()
+        if cls in seen or not dataclasses.is_dataclass(cls):
+            continue
+        seen.append(cls)
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            types = [hints[field.name]]
+            while types:
+                tp = types.pop()
+                if isinstance(tp, type):
+                    queue.append(tp)
+                types.extend(typing.get_args(tp))
+    return roots, seen
+
+
+class TestWireCoverage:
+    """Responses cross process and version boundaries (HTTP, the disk
+    cache, the job journal), so every class they can carry round-trips
+    and every root writes a schema version old readers can reject."""
+
+    def test_every_reachable_dataclass_round_trips(self):
+        _, classes = wire_classes()
+        names = {cls.__name__ for cls in classes}
+        assert names >= {"CompileResponse", "QLSResult", "PipelineResult",
+                         "StageRecord"}
+        for cls in classes:
+            for method in ("to_dict", "from_dict"):
+                assert callable(getattr(cls, method, None)), \
+                    f"{cls.__name__} lacks {method}"
+
+    def test_every_root_writes_a_schema_version(self, small_instance,
+                                                grid33):
+        from repro.qls import SabreLayout
+
+        response = CompilationService().submit(CompileRequest.from_instance(
+            small_instance, spec="sabre", seed=5))
+        payloads = {type(obj): obj.to_dict() for obj in (
+            response, response.result,
+            SabreLayout(seed=3).run(small_instance.circuit, grid33))}
+        roots, _ = wire_classes()
+        assert set(payloads) == set(roots)
+        for cls, payload in payloads.items():
+            assert isinstance(payload.get("schema"), int), cls.__name__
 
 
 class TestRequestRoundTrip:

@@ -227,17 +227,19 @@ class TestErrorBodies:
         with pytest.raises(RemoteServiceError, match="cannot reach"):
             client.healthz()
 
-    def test_negative_content_length_is_400(self, server):
-        """``rfile.read(-1)`` would block until the client hangs up: a
-        negative length is refused before any body is read."""
+    @staticmethod
+    def _raw_post(server, path, content_length):
+        """POST only a header block; the server must reply and close the
+        connection without waiting for a body."""
         import socket
 
         with socket.create_connection((server.host, server.port),
                                       timeout=5) as sock:
-            sock.sendall(b"POST /v1/compile HTTP/1.1\r\n"
+            sock.sendall(b"POST %s HTTP/1.1\r\n"
                          b"Host: localhost\r\n"
                          b"Content-Type: application/json\r\n"
-                         b"Content-Length: -1\r\n\r\n")
+                         b"Content-Length: %s\r\n\r\n"
+                         % (path.encode(), content_length.encode()))
             reply = b""
             while True:  # the server closes the connection after replying
                 chunk = sock.recv(65536)
@@ -245,10 +247,34 @@ class TestErrorBodies:
                     break
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
-        payload = json.loads(body)
+        return int(head.split(b"\r\n", 1)[0].split()[1]), json.loads(body)
+
+    def test_negative_content_length_is_400(self, server):
+        """``rfile.read(-1)`` would block until the client hangs up: a
+        negative length is refused before any body is read."""
+        status, payload = self._raw_post(server, "/v1/compile", "-1")
+        assert status == 400
         assert payload["status"] == 400
         assert "negative Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize("path, status", [("/v1/compile", 400),
+                                              ("/v1/nope", 404)])
+    def test_non_numeric_content_length_gets_a_json_error(self, server,
+                                                          path, status):
+        got, payload = self._raw_post(server, path, "abc")
+        assert got == payload["status"] == status
+
+    @pytest.mark.parametrize("path, status", [("/v1/compile", 413),
+                                              ("/v1/nope", 404)])
+    def test_oversized_content_length_is_never_read(self, server, path,
+                                                    status):
+        """A length above the cap is refused (413) before any body is
+        read — an unrouted POST skips draining it — and the connection
+        is closed: the unread rest cannot be reused."""
+        from repro.service.server import MAX_BODY_BYTES
+
+        got, payload = self._raw_post(server, path, str(MAX_BODY_BYTES + 1))
+        assert got == payload["status"] == status
 
     def test_keepalive_connection_survives_unrouted_post_body(self, server):
         """An unread POST body must be drained before the 404, or it

@@ -1,7 +1,14 @@
-"""``python -m repro.service`` CLI: batch, cache-info, cache-clear."""
+"""``python -m repro.service`` CLI: batch, cache-info, cache-clear, and
+``serve`` start-up validation."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+from repro import faults
 from repro.service import CompileRequest, CompileResponse, canonical_json
 from repro.service.cli import main
 
@@ -157,3 +164,32 @@ def test_cache_info_surfaces_eviction_caps(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["eviction"] == {"max_entries": 7, "max_bytes": 1000,
                                 "max_age_seconds": 60.0}
+
+
+@pytest.mark.parametrize("where, spec, expected", [
+    ("--faults", "pool.taks:crash@1",
+     ["--faults", "'pool.taks:crash@1'", "unknown fault site",
+      "pool.task, cache.disk_read"]),
+    ("--faults", "pool.task.crash",
+     ["--faults", "'pool.task.crash'", "expected site:kind@at"]),
+    ("env", "seed=3; pool.taks:crash@1",
+     ["$REPRO_FAULTS", "'pool.taks:crash@1'", "unknown fault site"]),
+], ids=["unknown-site", "malformed", "env-unknown-site"])
+def test_serve_rejects_bad_fault_spec_before_binding(where, spec, expected):
+    """A fault plan that could never fire (or not parse) stops ``serve``
+    with exit code 2 and one line naming the segment; no port is bound."""
+    env = dict(os.environ)
+    argv = [sys.executable, "-m", "repro.service", "serve", "--port", "0"]
+    if where == "env":
+        env[faults.ENV_VAR] = spec
+    else:
+        env.pop(faults.ENV_VAR, None)
+        argv += ["--faults", spec]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "serving on" not in proc.stdout
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    for fragment in expected:
+        assert fragment in lines[0]

@@ -7,6 +7,15 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultPoint
+from repro.parallel import WorkerPool
+from repro.service import (
+    CompilationService,
+    CompileRequest,
+    JobManager,
+    ResultCache,
+    ServiceClient,
+    ServiceServer,
+)
 
 
 class TestFaultPoint:
@@ -24,6 +33,10 @@ class TestFaultPoint:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPoint(site=faults.POOL_TASK, kind="meltdown")
+
+    def test_unknown_site_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault site 'pool.taks'"):
+            FaultPoint(site="pool.taks", kind=faults.CRASH)
 
     def test_occurrence_indexes_are_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
@@ -63,6 +76,15 @@ class TestSpecGrammar:
     def test_malformed_segment_rejected(self):
         with pytest.raises(ValueError, match="malformed fault segment"):
             FaultPlan.from_spec("pool.task.crash")
+
+    def test_unknown_site_in_spec_rejected(self):
+        with pytest.raises(ValueError, match=r"segment 'pool\.taks:crash@1'"
+                                             r".*unknown fault site"):
+            FaultPlan.from_spec("seed=1; pool.taks:crash@1")
+
+    def test_bad_number_names_its_segment(self):
+        with pytest.raises(ValueError, match="segment 'pool.task:crash@two'"):
+            FaultPlan.from_spec("pool.task:crash@two")
 
     def test_malformed_param_rejected(self):
         with pytest.raises(ValueError, match="malformed fault param"):
@@ -127,3 +149,50 @@ class TestArming:
         finally:
             faults.disarm()
         assert faults.active() is None
+
+
+def _drive_pool(tmp_path, request):
+    with WorkerPool(workers=1) as pool:
+        assert pool.submit(abs, -3).result(timeout=60) == 3
+
+
+def _drive_cache(tmp_path, request):
+    entry = {"entry_version": 1, "result": {}, "compile_seconds": 0.1}
+    ResultCache(directory=str(tmp_path)).put("feed", entry)
+    assert ResultCache(directory=str(tmp_path)).get("feed") == entry
+
+
+def _drive_server_and_client(tmp_path, request):
+    service = CompilationService(cache=ResultCache())
+    with ServiceServer(service) as server:
+        assert ServiceClient(server.url).healthz()["status"] == "ok"
+
+
+def _drive_job(tmp_path, request):
+    jobs = JobManager(CompilationService(cache=ResultCache()), start=False)
+    job = jobs.submit([request])
+    jobs.run_next()
+    assert job.done()
+
+
+#: The component that passes through each site once.  A site added to
+#: ``SITES`` without an entry here fails the test below.
+SITE_DRIVERS = {
+    faults.POOL_TASK: _drive_pool,
+    faults.CACHE_DISK_READ: _drive_cache,
+    faults.CACHE_DISK_WRITE: _drive_cache,
+    faults.HTTP_REQUEST: _drive_server_and_client,
+    faults.CLIENT_REQUEST: _drive_server_and_client,
+    faults.JOBS_EXECUTE: _drive_job,
+}
+
+
+@pytest.mark.parametrize("site", faults.SITES)
+def test_every_site_is_polled(site, tmp_path, small_instance):
+    """No dead sites: each declared site is reached by its component."""
+    request = CompileRequest.from_instance(small_instance, spec="sabre",
+                                           seed=5)
+    plan = FaultPlan.from_spec(f"{site}:delay@1:seconds=0")
+    with faults.injected(plan):
+        SITE_DRIVERS[site](tmp_path, request)
+    assert plan.counts().get(site, 0) >= 1
