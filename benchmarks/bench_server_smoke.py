@@ -16,11 +16,15 @@ Checks:
 * a **warm sync batch** (``POST /v1/compile``) is 100% cache hits with
   measured wall-clock reduction over the cold job;
 * a warm job resubmission completes via cache-first admission (terminal
-  at submit time, never queued).
+  at submit time, never queued);
+* a **warm hit's raw body** — spliced by the server from the verified
+  result text it stored — is byte-identical to the canonical JSON of its
+  decoded response (single and batch).
 """
 
 import json
 import time
+import urllib.request
 from pathlib import Path
 
 from repro.arch import get_architecture
@@ -28,10 +32,13 @@ from repro.qubikos import generate
 from repro.service import (
     CompilationService,
     CompileRequest,
+    CompileResponse,
     ResultCache,
     ServiceClient,
     ServiceServer,
+    canonical_json,
     code_fingerprint,
+    encode_requests,
 )
 
 from conftest import print_banner
@@ -52,6 +59,15 @@ def _smoke_requests():
         for instance in instances
         for spec in SPECS
     ]
+
+
+def _raw_compile(url, payload):
+    """POST ``payload`` to ``/v1/compile``; the undecoded response body."""
+    request = urllib.request.Request(
+        url + "/v1/compile", data=canonical_json(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=120) as response:
+        return response.read().decode("utf-8")
 
 
 def test_server_smoke_sync_async_warm(tmp_path):
@@ -96,6 +112,18 @@ def test_server_smoke_sync_async_warm(tmp_path):
         assert warm_job["status"] == "done"  # terminal at submission
         assert all(response.cache_hit
                    for response in client.job_responses(warm_job))
+
+        # -- warm hit bytes: the splice equals the canonical encoding -------
+        single = _raw_compile(server.url, requests[0].to_dict())
+        decoded = CompileResponse.from_dict(json.loads(single))
+        assert decoded.cache_hit
+        assert single == canonical_json(decoded.to_dict())
+        raw_batch = _raw_compile(server.url, encode_requests(requests))
+        batch = json.loads(raw_batch)
+        assert all(item["cache_hit"] for item in batch["responses"])
+        batch["responses"] = [CompileResponse.from_dict(item).to_dict()
+                              for item in batch["responses"]]
+        assert raw_batch == canonical_json(batch)
 
         cache_info = client.cache_info()
         assert cache_info["disk_entries"] == len(set(

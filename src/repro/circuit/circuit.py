@@ -30,8 +30,7 @@ class QuantumCircuit:
         self.name = name
         self._gates: List[Gate] = []
         if gates is not None:
-            for gate in gates:
-                self.append(gate)
+            self._extend_checked(gates)
 
     # -- basic container protocol ------------------------------------------
 
@@ -56,11 +55,24 @@ class QuantumCircuit:
 
     # -- mutation ------------------------------------------------------------
 
+    def _range_error(self, gate: Gate) -> CircuitError:
+        return CircuitError(
+            f"gate {gate} out of range for {self.num_qubits}-qubit circuit")
+
     def _check(self, gate: Gate) -> None:
         if max(gate.qubits) >= self.num_qubits:
-            raise CircuitError(
-                f"gate {gate} out of range for {self.num_qubits}-qubit circuit"
-            )
+            raise self._range_error(gate)
+
+    def _extend_checked(self, gates: Iterable[Gate]) -> None:
+        """Range-check and append ``gates`` in one loop (the bulk path
+        behind the constructor, ``extend`` and ``from_dict``); same
+        errors, in the same order, as one ``append`` per gate."""
+        num_qubits = self.num_qubits
+        push = self._gates.append
+        for gate in gates:
+            if max(gate.qubits) >= num_qubits:
+                raise self._range_error(gate)
+            push(gate)
 
     def append(self, gate: Gate) -> "QuantumCircuit":
         """Append ``gate`` and return ``self`` for chaining."""
@@ -70,8 +82,7 @@ class QuantumCircuit:
 
     def extend(self, gates: Iterable[Gate]) -> "QuantumCircuit":
         """Append every gate in ``gates``."""
-        for gate in gates:
-            self.append(gate)
+        self._extend_checked(gates)
         return self
 
     def insert(self, position: int, gate: Gate) -> "QuantumCircuit":

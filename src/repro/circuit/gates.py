@@ -36,7 +36,7 @@ class GateError(ValueError):
     """Raised when a gate is constructed with inconsistent data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     """An immutable gate application.
 
@@ -55,18 +55,39 @@ class Gate:
     qubits: Tuple[int, ...]
     params: Tuple[float, ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        if not self.qubits:
-            raise GateError(f"gate {self.name!r} must act on at least one qubit")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"gate {self.name!r} has repeated qubits {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise GateError(f"gate {self.name!r} has negative qubit index {self.qubits}")
-        expected = GATE_PARAM_COUNTS.get(self.name)
-        if expected is not None and len(self.params) != expected:
+    def __init__(self, name: str, qubits: Tuple[int, ...],
+                 params: Tuple[float, ...] = ()) -> None:
+        # Every gate is built here (routers, the generator, request and
+        # response decode), so this replaces the slower dataclass
+        # __init__ + __post_init__ pair: the same checks in the same order,
+        # a fast branch for two-qubit gates, and values stored as given
+        # straight into __dict__ (the class stays frozen, hashable,
+        # picklable and ``dataclasses.replace``-able).
+        if not qubits:
+            raise GateError(f"gate {name!r} must act on at least one qubit")
+        if len(qubits) == 2:
+            a, b = qubits
+            if a == b:
+                raise GateError(f"gate {name!r} has repeated qubits {qubits}")
+            if a < 0 or b < 0:
+                raise GateError(
+                    f"gate {name!r} has negative qubit index {qubits}")
+        else:
+            if len(set(qubits)) != len(qubits):
+                raise GateError(f"gate {name!r} has repeated qubits {qubits}")
+            if any(q < 0 for q in qubits):
+                raise GateError(
+                    f"gate {name!r} has negative qubit index {qubits}")
+        expected = GATE_PARAM_COUNTS.get(name)
+        if expected is not None and len(params) != expected:
             raise GateError(
-                f"gate {self.name!r} expects {expected} parameter(s), got {len(self.params)}"
+                f"gate {name!r} expects {expected} parameter(s), "
+                f"got {len(params)}"
             )
+        fields = self.__dict__
+        fields["name"] = name
+        fields["qubits"] = qubits
+        fields["params"] = params
 
     @property
     def num_qubits(self) -> int:

@@ -26,10 +26,12 @@ Recoveries are counted in :meth:`WorkerPool.stats`.
 
 An optional ``task_timeout`` bounds stragglers: a task not done after
 that many seconds is re-run in the parent and its future resolved with
-the parent's result; the abandoned worker attempt is discarded when (if)
-it lands.  The worker itself is not killed — process pools cannot abort
-a running call — so use this for hung-I/O-shaped stalls, not runaway
-compute.
+the parent's result.  The stuck attempt's executor has its worker
+processes terminated and is respawned, charged to ``respawn_budget``
+like any other breakage; sibling tasks that were running on it heal
+through the same respawn path, and past the budget the pool degrades
+exactly as after a crash.  So neither a hung call nor :meth:`shutdown`
+waits on the abandoned attempt.
 
 The error contract is unchanged: anything raised from
 :data:`POOL_UNAVAILABLE_ERRORS` means "the pool is gone, run this piece
@@ -103,13 +105,16 @@ class _Task:
     """One logical submission: the clean (fn, args) to retry with, plus
     the settle flag guarding its caller-visible future."""
 
-    __slots__ = ("fn", "args", "attempts", "settled", "lock")
+    __slots__ = ("fn", "args", "attempts", "settled", "abandoned", "lock")
 
     def __init__(self, fn: Callable, args: Tuple) -> None:
         self.fn = fn
         self.args = args
         self.attempts = 0
         self.settled = False
+        #: Set when a timeout hands the task to the parent: the worker
+        #: attempt's outcome (result or breakage) is ignored from then on.
+        self.abandoned = False
         self.lock = threading.Lock()
 
 
@@ -204,6 +209,14 @@ class WorkerPool:
                     inner = self._executor.submit(attempt[0], *attempt[1]) \
                         if attempt is not None \
                         else self._executor.submit(task.fn, *task.args)
+                    # Python 3.11 has no public way to stop a running
+                    # call (terminate_workers arrives in 3.14), so a
+                    # straggler's timer keeps the executor's private
+                    # ``_processes`` map (pid -> Process): the dict its
+                    # manager thread watches, and the workers' only handle
+                    # once the executor is shut down with wait=False
+                    # (which drops the attribute, hence read it here).
+                    processes = self._executor._processes
                 except BrokenExecutor:
                     inner = None
                 except OSError as exc:
@@ -225,8 +238,9 @@ class WorkerPool:
         task.attempts += 1
         timer = None
         if self.task_timeout is not None:
-            timer = threading.Timer(self.task_timeout,
-                                    self._rerun_in_parent, (task, outer))
+            timer = threading.Timer(
+                self.task_timeout, self._rerun_in_parent,
+                (task, outer, generation, processes))
             timer.daemon = True
             with self._lock:
                 self._timers[id(task)] = timer
@@ -243,8 +257,8 @@ class WorkerPool:
             with self._lock:
                 self._timers.pop(id(task), None)
         with task.lock:
-            if task.settled:
-                return  # a timeout re-run already resolved the future
+            if task.settled or task.abandoned:
+                return  # a timeout re-run owns the future
         exc = inner.exception()
         if exc is None:
             self._settle(task, outer, value=inner.result())
@@ -287,19 +301,26 @@ class WorkerPool:
             stale.shutdown(wait=False)
         return True
 
-    def _rerun_in_parent(self, task: _Task, outer: Future) -> None:
-        """Straggler path: the worker attempt is abandoned (its eventual
-        result discarded) and the task runs here, in the parent."""
-        with task.lock:
-            if task.settled:
-                return
+    def _rerun_in_parent(self, task: _Task, outer: Future, generation: int,
+                         processes: Dict[int, object]) -> None:
+        """Straggler path: the worker attempt is abandoned, the executor
+        it ran on loses its worker processes and is respawned (charged to
+        the budget; past it the pool degrades as after a crash), and the
+        task runs here, in the parent."""
         with self._lock:
             if self._closed:
                 return
+            with task.lock:
+                if task.settled:
+                    return
+                task.abandoned = True
             self._timeout_reruns += 1
             self._timers.pop(id(task), None)
         if obs_metrics._ACTIVE is not None:
             obs_metrics.POOL_TIMEOUT_RERUNS.inc()
+        for process in list(processes.values()):
+            process.terminate()
+        self._respawn(generation)
         try:
             value = task.fn(*task.args)
         except BaseException as exc:  # noqa: BLE001 - mirrors worker behaviour

@@ -48,6 +48,7 @@ from .api import (
     ServiceError,
     decode_requests,
     decode_responses,
+    encode_json,
     encode_requests,
     encode_responses,
     error_payload,
@@ -115,6 +116,7 @@ __all__ = [
     "decode_entry",
     "decode_requests",
     "decode_responses",
+    "encode_json",
     "encode_requests",
     "encode_responses",
     "error_payload",

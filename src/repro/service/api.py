@@ -21,6 +21,7 @@ canonical error payload every non-2xx server response carries.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -184,17 +185,52 @@ class CompileResponse:
     compile_seconds: float
     service_seconds: float = 0.0
 
-    def to_dict(self) -> Dict[str, object]:
+    @classmethod
+    def from_result_text(cls, result_text: str,
+                         result: Optional[QLSResult] = None,
+                         **fields: object) -> "CompileResponse":
+        """A response carrying its result as verified canonical JSON text
+        (``canonical_json(result.to_dict())``, memoised by the service
+        the first time it served the cache entry).
+
+        :func:`encode_json` splices that text into the wire envelope
+        verbatim.  Without ``result`` the ``.result`` attribute is
+        decoded from the text on first access, so a response that is only
+        ever written to the wire never builds a result object.  The text
+        is authoritative: like every response, treat ``.result`` as a
+        value and do not mutate it.
+        """
+        response = cls(result=result, **fields)
+        if result is None:
+            del response.result  # decoded on first access (__getattr__)
+        response._result_text = result_text
+        return response
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for attributes missing from the instance: the
+        # lazy ``result`` of a ``from_result_text`` response.
+        text = self.__dict__.get("_result_text")
+        if name != "result" or text is None:
+            raise AttributeError(name)
+        result = QLSResult.from_dict(json.loads(text))
+        self.__dict__["result"] = result
+        return result
+
+    def _envelope(self) -> Dict[str, object]:
         return {
             "schema": REQUEST_SCHEMA_VERSION,
             "type": "CompileResponse",
             "request_fingerprint": self.request_fingerprint,
-            "result": self.result.to_dict(),
             "provenance": dict(self.provenance),
             "cache_hit": self.cache_hit,
             "compile_seconds": self.compile_seconds,
             "service_seconds": self.service_seconds,
         }
+
+    def to_dict(self) -> Dict[str, object]:
+        payload = self._envelope()
+        payload["result"] = self.result.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CompileResponse":
@@ -214,13 +250,59 @@ class CompileResponse:
         )
 
     def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """``canonical_json(self.to_dict())``, byte for byte — built by
+        splicing the stored result text when the response carries one."""
+        text = self.__dict__.get("_result_text")
+        if text is None:
+            return canonical_json(self.to_dict())
+        payload = self._envelope()
+        payload["result"] = RawJSON(text)
+        return encode_json(payload)
 
     def __repr__(self) -> str:
         status = "hit" if self.cache_hit else "miss"
         return (f"CompileResponse({self.request_fingerprint[:12]}, {status}, "
                 f"swaps={self.result.swap_count}, "
                 f"t={self.service_seconds:.3f}s)")
+
+
+class RawJSON(str):
+    """Text that is already canonical JSON; :func:`encode_json` writes it
+    verbatim instead of encoding it as a string."""
+
+
+def encode_json(payload: object) -> str:
+    """:func:`canonical_json` that splices instead of re-encoding.
+
+    A :class:`CompileResponse` — the payload itself, a value of the
+    top-level dict, or an item of a list there — is written as its
+    :meth:`CompileResponse.canonical_json`, and a :class:`RawJSON`
+    likewise verbatim; everything else goes through
+    :func:`canonical_json`.  The bytes equal ``canonical_json`` of the
+    payload with every response replaced by its ``to_dict()``: keys are
+    written in the same sorted order with the same separators.  This is
+    the one encoder the HTTP server writes responses through — single,
+    batch and job payloads alike.
+    """
+    if isinstance(payload, CompileResponse):
+        return payload.canonical_json()
+    if isinstance(payload, RawJSON):
+        return str(payload)
+    if isinstance(payload, dict) and any(map(_spliced, payload.values())):
+        return "{" + ",".join(
+            f"{canonical_json(key)}:{encode_json(payload[key])}"
+            for key in sorted(payload)
+        ) + "}"
+    if isinstance(payload, list) and any(map(_spliced, payload)):
+        return "[" + ",".join(map(encode_json, payload)) + "]"
+    return canonical_json(payload)
+
+
+def _spliced(value: object) -> bool:
+    """True when ``value`` holds something :func:`encode_json` splices."""
+    if isinstance(value, (CompileResponse, RawJSON)):
+        return True
+    return isinstance(value, list) and any(map(_spliced, value))
 
 
 def make_provenance(request: CompileRequest, cache_hit: bool) -> Dict[str, object]:
@@ -280,11 +362,15 @@ def decode_requests(payload: object) -> List[CompileRequest]:
 
 
 def encode_responses(responses: Iterable[CompileResponse]) -> Dict[str, object]:
-    """The batch-response envelope mirroring :func:`encode_requests`."""
+    """The batch-response envelope mirroring :func:`encode_requests`.
+
+    The responses stay objects: write the envelope with
+    :func:`encode_json`, which splices each one's stored result text.
+    """
     return {
         "schema": REQUEST_SCHEMA_VERSION,
         "type": "CompileResponseBatch",
-        "responses": [response.to_dict() for response in responses],
+        "responses": list(responses),
     }
 
 

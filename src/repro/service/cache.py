@@ -19,6 +19,17 @@ until the count and byte caps hold.  Disk reads touch the entry's mtime,
 so eviction order is LRU, not insertion order.  All caps are disk-tier
 policy only; the memory tier keeps its own ``capacity`` LRU.
 
+Verify once
+-----------
+The cache stores entries; it does not interpret them.  A caller that
+fully decodes a memory-tier entry may record the canonical JSON text of
+the decoded result next to it (:meth:`ResultCache.note_verified`), and
+later lookups of the *same entry object* return that text
+(:meth:`ResultCache.lookup`), so the service serves a warm hit as stored
+bytes without decoding it again.  Entries that never went through a
+caller's decode — disk-tier promotions, dicts a caller ``put`` directly —
+come back without text and are decoded in full.
+
 Thread safety: every public method takes an internal lock, so one cache
 instance can back a threaded HTTP server (concurrent sync compiles, the
 job executor, and introspection endpoints) without corrupting the LRU.
@@ -33,7 +44,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import faults
 from ..obs import metrics as obs_metrics
@@ -113,6 +124,12 @@ class ResultCache:
             if value is not None and value <= 0:
                 raise ValueError(f"{cap} must be positive (or None)")
         self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()  # guarded-by: _lock
+        # Verify-once memo: key -> (the memory-tier entry object a caller
+        # fully decoded, the canonical JSON text of its result).  Lives
+        # and dies with that entry (put, eviction, note_stale, clear), so
+        # it is bounded by ``capacity`` and never outlives what it vouches
+        # for.
+        self._texts: Dict[str, Tuple[Dict[str, object], str]] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
         # Incrementally tracked disk-tier footprint (None = unknown, next
         # cap enforcement rescans); spares the hot write path a full
@@ -132,13 +149,21 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The cached entry for ``key``, or ``None`` (recorded as a miss)."""
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> Tuple[Optional[Dict[str, object]],
+                                        Optional[str]]:
+        """:meth:`get` plus the entry's verified result text: ``(entry,
+        text)``, where ``text`` is what :meth:`note_verified` recorded
+        for this very entry object and ``None`` for an entry nobody has
+        verified yet (a disk-tier promotion, a fresh ``put``)."""
         with self._lock:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
                 _note("hit")
-                return entry
+                return entry, self._text_for(key, entry)
             entry = self._disk_read(key)
             if entry is not None:
                 self._remember(key, entry)
@@ -146,10 +171,32 @@ class ResultCache:
                 self.stats.disk_hits += 1
                 _note("hit")
                 _note("disk_hit")
-                return entry
+                return entry, None
             self.stats.misses += 1
             _note("miss")
-            return None
+            return None, None
+
+    def verified_text(self, key: str,
+                      entry: Dict[str, object]) -> Optional[str]:
+        """The verified result text recorded for exactly ``entry`` (as
+        returned by :meth:`get`/:meth:`peek`), else ``None``; no stats."""
+        with self._lock:
+            return self._text_for(key, entry)
+
+    def note_verified(self, key: str, entry: Dict[str, object],
+                      text: str) -> None:
+        """Record that ``entry`` decoded cleanly and that ``text`` is the
+        canonical JSON of its decoded result.  Ignored unless ``entry`` is
+        still the memory-tier entry for ``key`` (a concurrent ``put`` or
+        eviction wins)."""
+        with self._lock:
+            if self._memory.get(key) is entry:
+                self._texts[key] = (entry, text)
+
+    def _text_for(self, key: str,  # requires-lock: _lock
+                  entry: Dict[str, object]) -> Optional[str]:
+        memo = self._texts.get(key)
+        return memo[1] if memo is not None and memo[0] is entry else None
 
     def peek(self, key: str) -> Optional[Dict[str, object]]:
         """The entry for ``key`` if present and readable, else ``None`` —
@@ -213,12 +260,14 @@ class ResultCache:
             self.stats.stale += 1
             _note("stale")
             self._memory.pop(key, None)
+            self._texts.pop(key, None)
 
     def clear(self) -> int:
         """Drop every entry from both tiers; returns the count removed."""
         with self._lock:
             removed = len(self)
             self._memory.clear()
+            self._texts.clear()
             if self.directory is not None:
                 for path in (list(Path(self.directory).glob("*.json"))
                              + list(Path(self.directory).glob("*.corrupt"))):
@@ -244,8 +293,10 @@ class ResultCache:
     def _remember(self, key: str, entry: Dict[str, object]) -> None:  # requires-lock: _lock
         self._memory[key] = entry
         self._memory.move_to_end(key)
+        self._texts.pop(key, None)  # a new entry is unverified
         while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
+            evicted, _ = self._memory.popitem(last=False)
+            self._texts.pop(evicted, None)
             self.stats.evictions += 1
             _note("memory_eviction")
 

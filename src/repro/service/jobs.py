@@ -63,7 +63,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .api import CompileRequest, CompileResponse, ServiceError
 from .journal import JobJournal
-from .service import ENTRY_DECODE_ERRORS, CompilationService, decode_entry
+from .service import CompilationService
 
 #: Version of the ``Job.to_dict`` wire schema.
 JOB_SCHEMA_VERSION = 1
@@ -249,25 +249,19 @@ class JobManager:
         obs_metrics.JOBS_QUEUE_DEPTH.set(self._queued_count())
 
     def _all_cached(self, fingerprints: List[str]) -> bool:
-        """True when every fingerprint has a *decodable* cache entry.
+        """True when every fingerprint has a *servable* cache entry.
 
         Peeking (no stats, no LRU promotion) keeps the admission probe
-        invisible in hit rates; requiring decodability keeps a corrupt
+        invisible in hit rates; requiring servability keeps a corrupt
         disk entry — a miss by the cache's own contract — from pulling a
-        full cold compile onto the submitter's thread.
+        full cold compile onto the submitter's thread.  An entry the
+        service already verified costs a memo lookup; any other entry is
+        decoded in full, and a memory-tier one is verified for the
+        ``submit_many`` that follows.
         """
-        cache = getattr(self.service, "cache", None)
-        if cache is None:
+        if getattr(self.service, "cache", None) is None:
             return False
-        for fingerprint in fingerprints:
-            entry = cache.peek(fingerprint)
-            if entry is None:
-                return False
-            try:
-                decode_entry(entry)
-            except ENTRY_DECODE_ERRORS:
-                return False
-        return True
+        return all(map(self.service.servable, fingerprints))
 
     # -- inspection ------------------------------------------------------------
 

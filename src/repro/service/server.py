@@ -30,6 +30,10 @@ embedded in-process) exposes the canonical-JSON wire schema of
                              exposition format (see :mod:`repro.obs`)
 ===========================  ================================================
 
+Every response goes out through :func:`repro.service.api.encode_json`:
+a warm cache hit's result is spliced in as the verified text the service
+stored for it, so a hit costs a fingerprint, a lookup and a byte copy,
+and the bytes equal ``canonical_json`` of the response's ``to_dict()``.
 Every error response carries the canonical body of
 :func:`repro.service.api.error_payload` — a JSON object with ``status``
 and ``error`` — so remote callers get machine-readable failures, never
@@ -52,6 +56,10 @@ Robustness contract
 * **Bounded bodies** — a ``Content-Length`` above
   :data:`MAX_BODY_BYTES` is answered with ``413`` before any of the body
   is read, and the connection is closed.
+* **Bounded reads** — every socket read waits at most
+  :data:`READ_TIMEOUT_SECONDS`: a client that stalls before finishing its
+  headers has its connection closed, one that stalls mid-body gets a
+  ``408`` and then a close, and either way its handler thread is freed.
 * **Draining shutdown** — :meth:`ServiceServer.shutdown` stops the
   accept loop, lets the running job finish (``drain=True``), and returns
   ``False`` (after a logged warning naming the stuck job) instead of
@@ -81,10 +89,11 @@ from .api import (
     REQUEST_SCHEMA_VERSION,
     ServiceError,
     decode_requests,
+    encode_json,
     encode_responses,
     error_payload,
 )
-from .fingerprint import canonical_json, code_fingerprint
+from .fingerprint import code_fingerprint
 from .jobs import JobManager, QueueFullError
 from .service import CompilationService
 
@@ -97,6 +106,12 @@ BAD_REQUEST_ERRORS = (ServiceError, QLSError, KeyError, TypeError,
 #: bodies" above).  A 1000-gate circuit is ~16 KB on the wire, so a batch
 #: of thousands of them fits.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Longest one socket read may wait, in seconds (see "Bounded reads"
+#: above).  Every client in this package opens a connection per request
+#: and sends it whole, so only a stalled or hostile peer ever waits this
+#: long.
+READ_TIMEOUT_SECONDS = 30.0
 
 #: Request header bounding one ``POST /v1/compile`` wall-clock budget.
 DEADLINE_HEADER = "X-Deadline-Seconds"
@@ -238,13 +253,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
 
+    def setup(self) -> None:
+        # Read per connection (not bound at class creation) so the
+        # constant stays the single source of the read timeout.
+        self.timeout = READ_TIMEOUT_SECONDS
+        super().setup()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep stdout/stderr quiet; callers watch the CLI banner
 
-    def _send_json(self, payload: Dict[str, object], status: int = 200,
+    def _send_json(self, payload: object, status: int = 200,
                    headers: Optional[Dict[str, str]] = None) -> None:
         self._drain_body()
-        body = canonical_json(payload).encode("utf-8")
+        body = encode_json(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -327,8 +348,12 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ServiceError(f"negative Content-Length: {length}")
             raise _BodyTooLarge(f"request body of {length} bytes exceeds "
                                 f"the {MAX_BODY_BYTES}-byte limit")
-        raw = self.rfile.read(length) if length else b""
         self._body_consumed = True
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # stalled mid-body: unusable
+            raise
         if not raw:
             raise ServiceError("empty request body")
         try:
@@ -386,6 +411,9 @@ class _Handler(BaseHTTPRequestHandler):
                                   headers={"Retry-After": "1"})
         except _BodyTooLarge as exc:
             self._send_error_json(413, f"{exc}")
+        except TimeoutError:
+            self._send_error_json(408, "request body not received within "
+                                       f"{READ_TIMEOUT_SECONDS:g}s")
         except BAD_REQUEST_ERRORS as exc:
             self._send_error_json(400, f"{exc}")
         except Exception as exc:  # noqa: BLE001 - last-resort JSON 500
@@ -485,7 +513,7 @@ class _Handler(BaseHTTPRequestHandler):
             except KeyError:
                 self._send_error_json(404, f"no such job {job_id}")
             else:
-                self._send_json(job.to_dict())
+                self._send_job(job)
         else:
             return False
         return True
@@ -525,10 +553,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError("'workers' must be an integer")
         responses = self.app.service.submit_many(
             requests, workers=workers, progress=self._deadline_check())
-        if single:
-            self._send_json(responses[0].to_dict())
-        else:
-            self._send_json(encode_responses(responses))
+        self._send_json(responses[0] if single
+                        else encode_responses(responses))
 
     def _submit_job(self, payload: object) -> None:
         """``POST /v1/jobs``: enqueue an async batch."""
@@ -540,7 +566,14 @@ class _Handler(BaseHTTPRequestHandler):
         job = self.app.jobs.submit(requests, priority=priority)
         # Cache-first admission completes 100%-hit jobs inline: report 200
         # for those, 202 for genuinely queued (or already running) work.
-        self._send_json(job.to_dict(), status=200 if job.done() else 202)
+        self._send_job(job, status=200 if job.done() else 202)
+
+    def _send_job(self, job, status: int = 200) -> None:
+        """``job.to_dict()`` on the wire, its responses spliced by
+        :func:`encode_json` instead of re-encoded."""
+        payload = job.to_dict(include_responses=False)
+        payload["responses"] = job.responses
+        self._send_json(payload, status=status)
 
 
 def serve(service: Optional[CompilationService] = None,
@@ -550,4 +583,5 @@ def serve(service: Optional[CompilationService] = None,
     return ServiceServer(service=service, host=host, port=port).start()
 
 
-__all__ = ["ServiceServer", "serve", "BAD_REQUEST_ERRORS", "MAX_BODY_BYTES"]
+__all__ = ["ServiceServer", "serve", "BAD_REQUEST_ERRORS", "MAX_BODY_BYTES",
+           "READ_TIMEOUT_SECONDS"]

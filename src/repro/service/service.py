@@ -23,6 +23,14 @@ with the same contract the evaluation harness established:
 Results crossing the process boundary travel as canonical payload dicts
 (the exact bytes the cache stores), so a batch-computed response is
 bit-identical to a later cache hit of the same request.
+
+Verify once, then serve text: the first time the service serves a cache
+entry it decodes it in full (:func:`decode_entry`) and records the
+canonical JSON text of the decoded result next to the entry in the
+cache's memory tier.  Every later hit on that entry builds its response
+from the text (:meth:`CompileResponse.from_result_text`) without
+decoding: the HTTP server splices the text into the wire envelope, and
+in-process callers decode ``.result`` lazily on first access.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from ..pipeline.registry import build_pipeline
 from ..qls.base import QLSResult
 from .api import CompileRequest, CompileResponse, make_provenance
 from .cache import ResultCache
+from .fingerprint import canonical_json
 
 #: Version of the cache-entry payload produced by compilation (and by the
 #: ``evaluate()`` cache path, which stores the same shape via
@@ -44,6 +53,12 @@ from .cache import ResultCache
 COMPILE_ENTRY_VERSION = 1
 
 ProgressFn = Callable[[CompileResponse], None]
+
+#: A cache entry ready to serve: ``(result, result_text,
+#: compile_seconds)``.  ``result`` is ``None`` when the entry was served
+#: from its verified text; ``result_text`` is ``None`` only with caching
+#: disabled.
+Served = Tuple[Optional[QLSResult], Optional[str], float]
 
 
 def make_entry(result: QLSResult, compile_seconds: float) -> Dict[str, object]:
@@ -124,21 +139,17 @@ class CompilationService:
         started = time.perf_counter()
         key = request.fingerprint()
         with obs_trace.span("service.submit", spec=request.spec) as sp:
-            decoded = self._lookup(key)
-            if decoded is None:
+            served = self._lookup(key)
+            hit = served is not None
+            if not hit:
                 with obs_trace.span("service.compile", spec=request.spec):
                     entry = compile_entry(request)
                 if self.cache is not None:
                     self.cache.put(key, entry)
-                decoded = decode_entry(entry)
-                hit = False
-            else:
-                hit = True
+                served = self._verify(key, entry)
             sp.annotate(cache_hit=hit)
-            result, compile_seconds = decoded
-            self._count(hit, compile_seconds)
-        return self._response(request, key, result, compile_seconds, hit,
-                              started)
+            self._count(hit, served[2])
+        return self._response(request, key, served, hit, started)
 
     @staticmethod
     def _count(hit: bool, compile_seconds: float) -> None:
@@ -148,31 +159,64 @@ class CompilationService:
         if not hit:
             obs_metrics.SERVICE_COMPILE_SECONDS.observe(compile_seconds)
 
-    def _lookup(self, key: str) -> Optional[Tuple[QLSResult, float]]:
-        """Decoded cache entry for ``key``, or ``None`` (miss *or* a
+    def _lookup(self, key: str) -> Optional[Served]:
+        """The servable cache entry for ``key``, or ``None`` (miss *or* a
         stale/corrupt entry, which recomputation then overwrites)."""
         if self.cache is None:
             return None
-        entry = self.cache.get(key)
+        entry, text = self.cache.lookup(key)
         if entry is None:
             return None
         try:
-            return decode_entry(entry)
+            return self._verify(key, entry, text)
         except ENTRY_DECODE_ERRORS:
             self.cache.note_stale(key)
             return None
 
-    def _response(self, request: CompileRequest, key: str, result: QLSResult,
-                  compile_seconds: float, hit: bool,
-                  started: float) -> CompileResponse:
-        return CompileResponse(
+    def _verify(self, key: str, entry: Dict[str, object],
+                text: Optional[str] = None) -> Served:
+        """Serve ``entry``: from its verified ``text`` when the cache
+        vouched for this entry object, else by a full :func:`decode_entry`
+        whose canonical result text is then recorded in the cache.
+
+        Raises :data:`ENTRY_DECODE_ERRORS` for an entry that does not
+        decode."""
+        if text is not None:
+            return None, text, entry["compile_seconds"]
+        result, compile_seconds = decode_entry(entry)
+        if self.cache is None:
+            return result, None, compile_seconds
+        text = canonical_json(result.to_dict())
+        self.cache.note_verified(key, entry, text)
+        return result, text, compile_seconds
+
+    def servable(self, key: str) -> bool:
+        """True when ``key`` would be served as a hit: its entry was
+        verified before, or it decodes now (which verifies a memory-tier
+        entry).  A ``cache.peek``: no hit/miss statistics, no LRU
+        promotion."""
+        entry = self.cache.peek(key) if self.cache is not None else None
+        if entry is None:
+            return False
+        try:
+            self._verify(key, entry, self.cache.verified_text(key, entry))
+        except ENTRY_DECODE_ERRORS:
+            return False
+        return True
+
+    def _response(self, request: CompileRequest, key: str, served: Served,
+                  hit: bool, started: float) -> CompileResponse:
+        result, text, compile_seconds = served
+        fields = dict(
             request_fingerprint=key,
-            result=result,
             provenance=make_provenance(request, hit),
             cache_hit=hit,
             compile_seconds=compile_seconds,
             service_seconds=time.perf_counter() - started,
         )
+        if text is None:
+            return CompileResponse(result=result, **fields)
+        return CompileResponse.from_result_text(text, result=result, **fields)
 
     # -- batched submission ----------------------------------------------------
 
@@ -222,12 +266,11 @@ class CompilationService:
         keys = [request.fingerprint() for request in requests]
         slots: List[Optional[CompileResponse]] = [None] * len(requests)
 
-        def finish(index: int, result: QLSResult, compile_seconds: float,
-                   hit: bool, started: float) -> None:
+        def finish(index: int, served: Served, hit: bool,
+                   started: float) -> None:
             slots[index] = self._response(requests[index], keys[index],
-                                          result, compile_seconds, hit,
-                                          started)
-            self._count(hit, compile_seconds)
+                                          served, hit, started)
+            self._count(hit, served[2])
             if progress is not None:
                 progress(slots[index])
 
@@ -236,16 +279,16 @@ class CompilationService:
         # as hits once it lands (matching the serial loop's warm cache).
         # With caching disabled the serial loop recomputes duplicates too,
         # so dedup keys become per-index and every request compiles.
-        hits: List[Tuple[int, QLSResult, float]] = []
+        hits: List[Tuple[int, Served]] = []
         compile_indices: Dict[str, int] = {}
         followers: Dict[str, List[int]] = {}
         for index, key in enumerate(keys):
             if self.cache is None:
                 compile_indices[f"{index}:{key}"] = index
                 continue
-            decoded = self._lookup(key)  # stale/corrupt entries = misses
-            if decoded is not None:
-                hits.append((index,) + decoded)
+            served = self._lookup(key)  # stale/corrupt entries = misses
+            if served is not None:
+                hits.append((index, served))
             elif key in compile_indices:
                 followers.setdefault(key, []).append(index)
             else:
@@ -258,25 +301,23 @@ class CompilationService:
                 yield (requests[index],)
             # Every miss is queued: build the hit responses in the parent
             # while the pool compiles.
-            for index, result, compile_seconds in hits:
-                finish(index, result, compile_seconds, hit=True,
-                       started=time.perf_counter())
+            for index, served in hits:
+                finish(index, served, hit=True, started=time.perf_counter())
 
         def land(task: int, entry: Dict[str, object]) -> None:
             # Misses (and the duplicate followers waiting on them) report
             # their batch latency — queueing plus compute — as
             # service_seconds; pre-resolved hits above reported only their
-            # serving cost.  Each response decodes its own result object,
+            # serving cost.  Followers are served from the text the miss
+            # verified, so each decodes its own result object on access,
             # matching the serial loop (no sharing between responses).
             key, index = misses[task]
             if self.cache is not None:
                 self.cache.put(key, entry)
-            result, compile_seconds = decode_entry(entry)
-            finish(index, result, compile_seconds, hit=False,
-                   started=batch_started)
+            served = self._verify(key, entry)
+            finish(index, served, hit=False, started=batch_started)
             for follower in followers.get(key, ()):  # duplicates are hits
-                result, compile_seconds = decode_entry(entry)
-                finish(follower, result, compile_seconds, hit=True,
+                finish(follower, (None,) + served[1:], hit=True,
                        started=batch_started)
 
         _, fallbacks = map_ordered(pool, compile_entry, tasks(),

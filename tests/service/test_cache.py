@@ -365,3 +365,98 @@ class TestSharedDirectorySweep:
         stems = {path.stem for path in store.glob("*.json")}
         assert len(stems) == 2
         assert "k5" in stems  # the newest write survives
+
+
+class TestVerifiedText:
+    """The verify-once memo: text recorded for one entry object, bounded
+    by the memory tier and dropped with the entry."""
+
+    def test_text_is_returned_for_the_same_entry_object_only(self):
+        cache = ResultCache()
+        cache.put("k", entry(1))
+        stored, text = cache.lookup("k")
+        assert text is None  # a fresh put is unverified
+        cache.note_verified("k", stored, '{"value":1}')
+        assert cache.lookup("k") == (stored, '{"value":1}')
+        assert cache.verified_text("k", stored) == '{"value":1}'
+        assert cache.verified_text("k", entry(1)) is None  # equal, not same
+
+    def test_note_verified_ignores_a_replaced_entry(self):
+        cache = ResultCache()
+        cache.put("k", entry(1))
+        old = cache.get("k")
+        cache.put("k", entry(2))
+        cache.note_verified("k", old, "stale text")
+        assert cache.lookup("k")[1] is None
+
+    @pytest.mark.parametrize("drop", ["put", "evict", "note_stale", "clear"])
+    def test_memo_dies_with_its_entry(self, drop):
+        cache = ResultCache(capacity=1)
+        cache.put("k", entry(1))
+        stored = cache.get("k")
+        cache.note_verified("k", stored, "text")
+        if drop == "put":
+            cache.put("k", stored)  # even the same object is re-verified
+        elif drop == "evict":
+            cache.put("other", entry(2))
+            cache.put("k", stored)
+        elif drop == "note_stale":
+            cache.note_stale("k")
+            cache.put("k", stored)
+        else:
+            cache.clear()
+            cache.put("k", stored)
+        assert cache.lookup("k") == (stored, None)
+        assert len(cache._texts) <= cache.capacity
+
+    def test_disk_promotion_comes_back_unverified(self, tmp_path):
+        writer = ResultCache(directory=tmp_path)
+        writer.put("k", entry(1))
+        writer.note_verified("k", writer.get("k"), "text")
+        reader = ResultCache(directory=tmp_path)
+        assert reader.lookup("k") == (entry(1), None)
+        assert reader.stats.disk_hits == 1
+
+    def test_concurrent_put_verify_lookup_never_mismatch(self):
+        """Threads racing put / lookup / note_verified on a tiny cache:
+        a text only ever comes back for the entry it was recorded for,
+        and the memo stays bounded by capacity."""
+        import random
+        import sys
+        import threading
+
+        cache = ResultCache(capacity=2)
+        mismatches = []
+
+        def text_of(stored):
+            return json.dumps(stored["result"])
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                key = rng.choice(("k0", "k1", "k2"))
+                if rng.random() < 0.3:
+                    cache.put(key, entry(rng.randrange(5)))
+                    continue
+                stored, text = cache.lookup(key)
+                if stored is None:
+                    continue
+                if text is None:
+                    cache.note_verified(key, stored, text_of(stored))
+                elif text != text_of(stored):
+                    mismatches.append((key, stored, text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(cache._texts) <= cache.capacity

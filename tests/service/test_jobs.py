@@ -194,6 +194,23 @@ class TestCacheInteraction:
         assert stats.hits == hits_before + 1   # just the served lookup
         assert stats.misses == misses_before   # the peek counted nothing
 
+    def test_admission_of_verified_entries_never_decodes(self, requests,
+                                                         monkeypatch):
+        """Admission probes the verify-once memo: entries the service
+        already served cost no decode, in the probe or the inline run."""
+        from repro.service import service as service_module
+
+        jobs = manager()
+        jobs.service.submit_many(requests[:2])
+        decodes = []
+        real = service_module.decode_entry
+        monkeypatch.setattr(service_module, "decode_entry",
+                            lambda entry: decodes.append(1) or real(entry))
+        job = jobs.submit(requests[:2])
+        assert job.status is JobStatus.DONE  # admitted inline
+        assert all(r.cache_hit for r in job.responses)
+        assert decodes == []
+
 
 class TestManagerPlumbing:
     def test_wait_times_out_on_passive_manager(self, requests):

@@ -14,11 +14,14 @@ from repro.qubikos import generate
 from repro.service import (
     CompilationService,
     CompileRequest,
+    CompileResponse,
     RemoteServiceError,
     ResultCache,
     ServiceClient,
     ServiceServer,
+    canonical_json,
     code_fingerprint,
+    encode_requests,
 )
 
 
@@ -127,6 +130,86 @@ class TestSyncCompile:
         mapped = list(client.map(requests))
         assert [m.request_fingerprint for m in mapped] == \
             [r.fingerprint() for r in requests]
+
+
+class TestWarmHitBytes:
+    """A warm hit is spliced from stored text, byte-identical to the
+    canonical JSON of its decoded response (what the server sent before
+    hits were spliced)."""
+
+    @staticmethod
+    def _body(server, method, path, payload=None):
+        data = None if payload is None else \
+            canonical_json(payload).encode("utf-8")
+        request = urllib.request.Request(
+            server.url + path, data=data, method=method,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.read().decode("utf-8")
+
+    @staticmethod
+    def _canonical(body):
+        payload = json.loads(body)
+        if payload["type"] == "CompileResponse":
+            return canonical_json(CompileResponse.from_dict(payload).to_dict())
+        payload["responses"] = [CompileResponse.from_dict(item).to_dict()
+                                for item in payload["responses"]]
+        return canonical_json(payload)
+
+    def test_single_batch_and_job_bodies(self, requests):
+        with ServiceServer(CompilationService(cache=ResultCache())) as fresh:
+            batch = encode_requests(requests + requests[:1])
+            for _ in range(2):  # the second round is all warm hits
+                single = self._body(fresh, "POST", "/v1/compile",
+                                    requests[0].to_dict())
+                many = self._body(fresh, "POST", "/v1/compile", batch)
+            job = json.loads(self._body(fresh, "POST", "/v1/jobs", batch))
+            assert job["status"] == "done"  # all hits: admitted inline
+            fetched = self._body(fresh, "GET", f"/v1/jobs/{job['id']}")
+            server_side = canonical_json(fresh.jobs.get(job["id"]).to_dict())
+        assert json.loads(single)["cache_hit"]
+        assert all(r["cache_hit"] for r in json.loads(many)["responses"])
+        for body in (single, many, fetched):
+            assert body == self._canonical(body)
+        assert fetched == server_side
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda result: result.update(schema=99), "result schema"),
+        (lambda result: result["circuit"]["gates"].append(["cx", [0, 0]]),
+         "repeated qubits"),
+    ])
+    def test_client_still_decodes_eagerly(self, requests, corrupt, error):
+        """The wire is the untrusted boundary: a malformed response body
+        raises inside ``ServiceClient.submit``, not on later access."""
+        import threading
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+
+        payload = CompilationService().submit(requests[0]).to_dict()
+        corrupt(payload["result"])
+        body = canonical_json(payload).encode("utf-8")
+
+        class Stub(BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 - http.server API
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = HTTPServer(("127.0.0.1", 0), Stub)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{stub.server_port}")
+            with pytest.raises(ValueError, match=error):
+                client.submit(requests[0])
+        finally:
+            stub.shutdown()
+            stub.server_close()
 
 
 class TestJobEndpoints:
@@ -275,6 +358,30 @@ class TestErrorBodies:
 
         got, payload = self._raw_post(server, path, str(MAX_BODY_BYTES + 1))
         assert got == payload["status"] == status
+
+    def test_stalled_body_gets_408_and_a_close(self, server, monkeypatch):
+        """Headers sent, body never: after the read timeout the server
+        answers 408 and closes (the EOF comes when the handler thread
+        finishes, so the thread is free)."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.5)
+        status, payload = self._raw_post(server, "/v1/compile", "100")
+        assert status == payload["status"] == 408
+        assert "0.5s" in payload["error"]
+
+    def test_stalled_headers_are_dropped(self, server, monkeypatch):
+        """A client that stalls inside its header block gets no reply and
+        a closed connection once the read timeout passes."""
+        import socket
+
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.5)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /v1/compile HTTP/1.1\r\nHost: localhost\r\n")
+            assert sock.recv(65536) == b""
 
     def test_keepalive_connection_survives_unrouted_post_body(self, server):
         """An unread POST body must be drained before the 404, or it

@@ -179,6 +179,77 @@ class TestPoisonedEntryRecovery:
         assert all(r.cache_hit for r in healed.records)
 
 
+class TestVerifyOnce:
+    """A cache entry is decoded once, then served as its verified result
+    text; ``.result`` decodes lazily and equals an eager decode."""
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        from repro.service import service as service_module
+
+        calls = []
+        real = service_module.decode_entry
+        monkeypatch.setattr(service_module, "decode_entry",
+                            lambda entry: calls.append(1) or real(entry))
+        return calls
+
+    def test_hits_after_the_first_serve_never_decode(self, requests,
+                                                     monkeypatch):
+        service = CompilationService()
+        decodes = self._count_decodes(monkeypatch)
+        service.submit(requests[0])      # miss: decoded and verified
+        service.submit_many(requests)    # one more miss per new request
+        service.submit(requests[0])
+        warm = service.submit_many(requests)
+        assert all(r.cache_hit for r in warm)
+        assert len(decodes) == len(requests)  # once per entry, ever
+        assert all("result" not in r.__dict__ for r in warm)  # still lazy
+
+    def test_lazy_result_equals_eager_decode(self, requests):
+        import json
+        import pickle
+
+        from repro.service import CompileResponse, canonical_json
+
+        service = CompilationService()
+        first = service.submit(requests[1])
+        lazy = service.submit(requests[1])
+        assert "result" not in lazy.__dict__
+        wire = lazy.canonical_json()
+        eager = CompileResponse.from_dict(json.loads(wire))
+        assert lazy.result == eager.result == first.result
+        assert type(lazy.result) is type(first.result)
+        assert canonical_json(lazy.to_dict()) == wire
+        assert pickle.loads(pickle.dumps(
+            service.submit(requests[1]))).result == first.result
+        assert lazy.result is lazy.result  # decoded once, then kept
+
+    def test_undecodable_disk_entry_is_never_spliced(self, requests,
+                                                     tmp_path):
+        """Good envelope, unknown result schema, promoted from disk: a
+        miss counted as stale, and the recompute heals the file."""
+        import json
+
+        service = CompilationService(
+            cache=ResultCache(capacity=1, directory=tmp_path))
+        good = service.submit(requests[0])
+        key = good.request_fingerprint
+        service.submit(requests[1])  # evicts the verified entry from memory
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({
+            "schema": 1, "key": key,
+            "entry": {"entry_version": 1, "result": {"schema": 99}}}))
+        again = service.submit(requests[0])
+        assert not again.cache_hit
+        assert service.cache.stats.stale == 1
+        assert again.result == good.result.__class__.from_dict(
+            json.loads(again.canonical_json())["result"])
+        assert again.result.circuit == good.result.circuit
+        healed = json.loads(path.read_text())["entry"]["result"]
+        assert healed["schema"] == 1
+        assert service.submit(requests[0]).cache_hit
+
+
 class TestBatchFailureRecovery:
     def test_pool_casualties_recompiled_in_parent(self, requests):
         reference = CompilationService().submit_many(requests)

@@ -45,6 +45,14 @@ def _sleep_unless_parent(parent_pid, seconds, value):
     return value
 
 
+def _stall_first_attempt(flag, value):
+    """Stall only on the attempt that creates ``flag``; a retry returns."""
+    if not os.path.exists(flag):
+        open(flag, "w").close()
+        time.sleep(30)
+    return value
+
+
 class TestConstruction:
     def test_workers_zero_falls_back_to_cpu_count(self):
         pool = WorkerPool(workers=0)
@@ -145,10 +153,53 @@ class TestSelfHealing:
 
 class TestTaskTimeout:
     def test_straggler_reruns_in_parent(self):
+        """The stuck worker is terminated and respawned (one respawn), so
+        neither the future nor shutdown waits out the 30 s call."""
+        started = time.monotonic()
         with WorkerPool(workers=1, task_timeout=0.5) as pool:
             future = pool.submit(_sleep_unless_parent, os.getpid(), 30, "ok")
             assert future.result(timeout=120) == "ok"
-        assert pool.stats()["timeout_reruns"] == 1
+            # the respawned executor serves the next task normally
+            assert pool.submit(_square, 4).result(timeout=120) == 16
+        assert time.monotonic() - started < 5
+        stats = pool.stats()
+        assert stats["timeout_reruns"] == 1
+        assert stats["respawns"] == 1
+
+    def test_sibling_on_the_stuck_executor_heals(self, tmp_path):
+        """Terminating the straggler's executor kills a sibling mid-call;
+        the sibling recovers through the respawn path (no second respawn)
+        instead of failing.  It is submitted 0.6 s later, so its own timer
+        is still 0.6 s away when the straggler's fires."""
+        started = time.monotonic()
+        with WorkerPool(workers=2, task_timeout=1.0) as pool:
+            stuck = pool.submit(_sleep_unless_parent, os.getpid(), 30, "ok")
+            time.sleep(0.6)
+            sibling = pool.submit(_stall_first_attempt,
+                                  str(tmp_path / "flag"), "sib")
+            assert stuck.result(timeout=120) == "ok"
+            assert sibling.result(timeout=120) == "sib"
+        assert time.monotonic() - started < 5
+        stats = pool.stats()
+        assert stats["respawns"] == 1
+        assert stats["recovered_tasks"] == 1
+        assert stats["timeout_reruns"] == 1
+
+    def test_straggler_past_the_budget_still_frees_its_worker(self):
+        """No respawn left: the worker is still terminated (shutdown does
+        not wait out the call) and the pool degrades exactly as after a
+        crash with the budget exhausted."""
+        started = time.monotonic()
+        with WorkerPool(workers=1, respawn_budget=0, task_timeout=0.5) as pool:
+            future = pool.submit(_sleep_unless_parent, os.getpid(), 30, "ok")
+            assert future.result(timeout=120) == "ok"
+            survivor = pool.submit(_square, 3)
+            with pytest.raises(POOL_UNAVAILABLE_ERRORS):
+                survivor.result(timeout=120)
+        assert time.monotonic() - started < 5
+        stats = pool.stats()
+        assert stats["timeout_reruns"] == 1
+        assert stats["respawns"] == 0
 
     def test_fast_tasks_never_hit_the_timer(self):
         with WorkerPool(workers=1, task_timeout=60) as pool:
