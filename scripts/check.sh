@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Single CI entry point: tier-1 tests plus every cheap smoke gate.
 #
-#   scripts/check.sh            # tier-1 + perf/pipeline/service smoke
-#   scripts/check.sh --fast     # tier-1 only
+#   scripts/check.sh            # lint, tier-1 + seven smoke gates: perf,
+#                               # pipeline, service, server, chaos, sat, obs
+#   scripts/check.sh --fast     # lint + tier-1 only
 #
 # The smoke gates are tier-1-sized versions of the heavy benchmark
 # contracts: parallel-vs-serial record identity (--perf-smoke), every

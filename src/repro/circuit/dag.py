@@ -211,8 +211,13 @@ class ExecutionFrontier:
         return frozenset(self._executed)
 
     def done(self) -> bool:
-        """True when every gate has been executed."""
-        return len(self._executed) == len(self.dag)
+        """True when every gate has been executed.
+
+        O(1): in an acyclic DAG some unexecuted gate always has every
+        predecessor executed, so the front layer is empty exactly when
+        nothing is left.
+        """
+        return not self.front
 
     def execute(self, node: int) -> List[int]:
         """Mark ``node`` executed; return newly released front nodes."""
@@ -252,10 +257,13 @@ class ExecutionFrontier:
         result: List[int] = []
         seen = set(self.front)
         queue = deque(self.front_sorted())
+        succ = self.dag._succ
+        # A successor of an unexecuted gate is itself unexecuted, so the
+        # walk needs no executed-set test.
         while queue and len(result) < limit:
             node = queue.popleft()
-            for nxt in self.dag.successors(node):
-                if nxt in seen or nxt in self._executed:
+            for nxt in succ[node]:
+                if nxt in seen:
                     continue
                 seen.add(nxt)
                 result.append(nxt)

@@ -25,13 +25,17 @@ is — so a healed re-run is bit-identical to the first attempt.
 Recoveries are counted in :meth:`WorkerPool.stats`.
 
 An optional ``task_timeout`` bounds stragglers: a task not done after
-that many seconds is re-run in the parent and its future resolved with
-the parent's result.  The stuck attempt's executor has its worker
-processes terminated and is respawned, charged to ``respawn_budget``
-like any other breakage; sibling tasks that were running on it heal
-through the same respawn path, and past the budget the pool degrades
-exactly as after a crash.  So neither a hung call nor :meth:`shutdown`
-waits on the abandoned attempt.
+that many seconds of running is re-run in the parent and its future
+resolved with the parent's result.  A task's clock starts when a worker
+is free to take it — at most ``workers`` clocks run at once, started in
+submission order, the order the executor hands tasks to workers — so
+time spent queued behind a straggler is never charged to the task.  The
+stuck attempt's executor has its worker processes terminated and is
+respawned, charged to ``respawn_budget`` like any other breakage;
+sibling tasks that were running on it heal through the same respawn
+path, and past the budget the pool degrades exactly as after a crash.
+So neither a hung call nor :meth:`shutdown` waits on the abandoned
+attempt.
 
 The error contract is unchanged: anything raised from
 :data:`POOL_UNAVAILABLE_ERRORS` means "the pool is gone, run this piece
@@ -49,10 +53,12 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
                                 as_completed)
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from . import faults
 from .obs import metrics as obs_metrics
@@ -118,6 +124,21 @@ class _Task:
         self.lock = threading.Lock()
 
 
+class _Clock:
+    """The ``task_timeout`` clock of one worker attempt: queued until a
+    worker is free to run the attempt, then a timer."""
+
+    __slots__ = ("task", "outer", "generation", "processes", "timer")
+
+    def __init__(self, task: _Task, outer: Future, generation: int,
+                 processes: Dict[int, object]) -> None:
+        self.task = task
+        self.outer = outer
+        self.generation = generation
+        self.processes = processes
+        self.timer: Optional[threading.Timer] = None
+
+
 class WorkerPool:
     """Persistent, self-healing process pool shared across a suite.
 
@@ -153,7 +174,10 @@ class WorkerPool:
         self._recovered_tasks = 0  # guarded-by: _lock
         self._timeout_reruns = 0  # guarded-by: _lock
         self._submitted = 0  # guarded-by: _lock
-        self._timers: Dict[int, threading.Timer] = {}  # guarded-by: _lock
+        #: task_timeout clocks: attempts waiting for a free worker, in
+        #: submission order, and those whose timer is running.
+        self._waiting: Deque[_Clock] = deque()  # guarded-by: _lock
+        self._running: Set[_Clock] = set()  # guarded-by: _lock
 
     # -- submission ------------------------------------------------------------
 
@@ -236,26 +260,49 @@ class WorkerPool:
                                  f"({self.respawn_budget}) is exhausted"))
                 return
         task.attempts += 1
-        timer = None
+        clock = None
         if self.task_timeout is not None:
-            timer = threading.Timer(
-                self.task_timeout, self._rerun_in_parent,
-                (task, outer, generation, processes))
-            timer.daemon = True
+            clock = _Clock(task, outer, generation, processes)
             with self._lock:
-                self._timers[id(task)] = timer
-            timer.start()
+                self._waiting.append(clock)
+                self._start_clocks()
         inner.add_done_callback(
-            lambda f: self._on_done(task, outer, f, generation, timer))
+            lambda f: self._on_done(task, outer, f, generation, clock))
+
+    def _start_clocks(self) -> None:  # requires-lock: _lock
+        """Start the timers of waiting attempts while a worker is free.
+
+        ``future.running()`` cannot say when a worker took an attempt:
+        the executor marks futures running as it queues them to its
+        workers.  Free worker slots can: the executor hands queued calls
+        to workers in submission order."""
+        if self._closed:
+            return
+        while self._waiting and len(self._running) < self.workers:
+            clock = self._waiting.popleft()
+            if clock.generation != self._generation:
+                continue  # its executor is gone; the attempt resubmits
+            clock.timer = threading.Timer(self.task_timeout,
+                                          self._rerun_in_parent, (clock,))
+            clock.timer.daemon = True
+            self._running.add(clock)
+            clock.timer.start()
+
+    def _stop_clock(self, clock: _Clock) -> None:  # requires-lock: _lock
+        if clock.timer is not None:
+            clock.timer.cancel()
+            self._running.discard(clock)
+        elif clock in self._waiting:
+            self._waiting.remove(clock)
+        self._start_clocks()
 
     # -- recovery --------------------------------------------------------------
 
     def _on_done(self, task: _Task, outer: Future, inner: Future,
-                 generation: int, timer: Optional[threading.Timer]) -> None:
-        if timer is not None:
-            timer.cancel()
+                 generation: int, clock: Optional[_Clock]) -> None:
+        if clock is not None:
             with self._lock:
-                self._timers.pop(id(task), None)
+                self._stop_clock(clock)
         with task.lock:
             if task.settled or task.abandoned:
                 return  # a timeout re-run owns the future
@@ -301,26 +348,28 @@ class WorkerPool:
             stale.shutdown(wait=False)
         return True
 
-    def _rerun_in_parent(self, task: _Task, outer: Future, generation: int,
-                         processes: Dict[int, object]) -> None:
+    def _rerun_in_parent(self, clock: _Clock) -> None:
         """Straggler path: the worker attempt is abandoned, the executor
         it ran on loses its worker processes and is respawned (charged to
         the budget; past it the pool degrades as after a crash), and the
         task runs here, in the parent."""
+        task, outer = clock.task, clock.outer
         with self._lock:
-            if self._closed:
-                return
+            if self._closed or clock not in self._running:
+                return  # shut down, or the attempt finished meanwhile
             with task.lock:
                 if task.settled:
                     return
                 task.abandoned = True
             self._timeout_reruns += 1
-            self._timers.pop(id(task), None)
+            self._running.discard(clock)
         if obs_metrics._ACTIVE is not None:
             obs_metrics.POOL_TIMEOUT_RERUNS.inc()
-        for process in list(processes.values()):
+        for process in list(clock.processes.values()):
             process.terminate()
-        self._respawn(generation)
+        self._respawn(clock.generation)
+        with self._lock:
+            self._start_clocks()
         try:
             value = task.fn(*task.args)
         except BaseException as exc:  # noqa: BLE001 - mirrors worker behaviour
@@ -365,8 +414,9 @@ class WorkerPool:
             self._closed = True
             executor = self._executor
             self._executor = None
-            timers = list(self._timers.values())
-            self._timers.clear()
+            timers = [clock.timer for clock in self._running]
+            self._running.clear()
+            self._waiting.clear()
         for timer in timers:
             timer.cancel()
         if executor is not None:

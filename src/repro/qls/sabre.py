@@ -28,15 +28,24 @@ for throughput while staying *bit-identical* to the reference formulation
 
 * the sorted front layer and the extended set are memoised on
   :class:`repro.circuit.dag.ExecutionFrontier` and recomputed only when a
-  gate executes — a stall window of many SWAP decisions reuses one BFS;
-* :meth:`SabreCostModel.best_swap` is an allocation-free scoring fast path:
-  per-gate operand pairs come from ``DependencyDag.op_pairs`` flat arrays,
-  mapping lookups are O(1) reads of the live ``Mapping.forward`` /
-  ``Mapping.backward`` permutation arrays, and — because hop-count sums are
-  exact small-integer arithmetic — each candidate SWAP is scored by
-  adjusting only the distance terms its two endpoints touch instead of
-  re-summing the whole front and extended set (``score``/``score_all``
-  remain as the introspection API for the case study);
+  gate executes — a stall window of many SWAP decisions reuses one BFS —
+  and ``ExecutionFrontier.done()`` is O(1);
+* :meth:`SabreCostModel.best_swap` scores candidates from per-physical-
+  qubit *partner maps*.  Front-layer gates are qubit-disjoint (two front
+  gates sharing a qubit would be ordered in the DAG), so every front
+  physical qubit has exactly one partner; extended-set qubits get a short
+  partner list.  Because hop-count sums are exact small-integer
+  arithmetic, SWAP ``(p1, p2)`` is scored as the base sum plus
+  ``d[p2][x] - d[p1][x]`` over p1's partners ``x != p2`` and the mirror
+  term for p2 — no re-sum of the front and extended set.  The partner
+  maps are scratch arrays on the model, restored after each call;
+  operand pairs come from ``DependencyDag.op_pairs`` and positions from
+  the live ``Mapping.forward`` array (``score``/``score_all`` remain as
+  the introspection API for the case study and the kernel's reference);
+* :meth:`SabreCostModel.candidate_swaps` is the one candidate generator
+  (router, ``score_all`` and the geometric ``lookahead_decay`` path): the
+  union of per-qubit coupling-edge tuples cached on the model, sorted,
+  because tie order feeds ``rng.choice``;
 * :class:`SabreLayout` builds the skeleton :class:`DependencyDag`, its
   reverse, and one :class:`SabreCostModel` per ``run`` and threads them
   through all ``2 * layout_passes + 1`` ``route()`` calls;
@@ -49,7 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import QuantumCircuit
@@ -88,7 +97,12 @@ class SwapScore:
 
 
 class SabreCostModel:
-    """Scores candidate SWAPs; shared by the router and the case study."""
+    """Scores candidate SWAPs; shared by the router and the case study.
+
+    :meth:`best_swap` keeps scratch arrays indexed by physical qubit on
+    the model, so a model serves one routing pass at a time (every
+    in-repo caller builds its own per ``run``).
+    """
 
     def __init__(self, coupling: CouplingGraph, params: SabreParameters) -> None:
         self.coupling = coupling
@@ -97,16 +111,35 @@ class SabreCostModel:
         # numpy element access, and scoring is the routing hot path.  The
         # list form is cached on the coupling graph, shared by every model.
         self._dist = coupling.distance_rows
+        n = coupling.num_qubits
+        #: ``_edges_at[p]``: every coupling edge at ``p`` as a sorted pair.
+        self._edges_at: List[Tuple[Edge, ...]] = [
+            tuple((p, nbr) if p < nbr else (nbr, p)
+                  for nbr in sorted(coupling.neighbors(p)))
+            for p in range(n)
+        ]
+        # best_swap scratch, restored after every call: the front-layer
+        # partner of each physical qubit (-1 = none) and its list of
+        # extended-set partners.
+        self._front_partner: List[int] = [-1] * n
+        self._ext_partners: List[List[int]] = [[] for _ in range(n)]
 
     def candidate_swaps(self, dag: DependencyDag, frontier: ExecutionFrontier,
                         mapping: Mapping) -> List[Edge]:
-        """Coupling edges touching a physical qubit hosting a front operand."""
-        candidates = set()
+        """Coupling edges touching a physical qubit hosting a front operand,
+        sorted (the order ties are drawn from)."""
+        pi = mapping.forward
+        ops = dag.op_pairs
+        edges_at = self._edges_at
+        candidates: Set[Edge] = set()
         for node in frontier.front:
-            for q in dag.gates[node].qubits:
-                p = mapping.phys(q)
-                for nbr in self.coupling.neighbors(p):
-                    candidates.add((p, nbr) if p < nbr else (nbr, p))
+            a, b = ops[node]
+            pa = pi[a] if a < len(pi) else -1
+            pb = pi[b] if b < len(pi) else -1
+            if pa < 0 or pb < 0:
+                raise KeyError(a if pa < 0 else b)
+            candidates.update(edges_at[pa])
+            candidates.update(edges_at[pb])
         return sorted(candidates)
 
     def score(self, dag: DependencyDag, mapping: Mapping, swap: Edge,
@@ -164,16 +197,23 @@ class SabreCostModel:
     def best_swap(self, dag: DependencyDag, frontier: ExecutionFrontier,
                   mapping: Mapping, decay: Dict[int, float],
                   rng: random.Random) -> Tuple[Edge, float]:
-        """Allocation-free scoring fast path: ``(chosen swap, best total)``.
+        """Scoring fast path: ``(chosen swap, best total)``.
 
         Produces exactly the swap :meth:`score_all` + min + ``rng.choice``
         would select (ties included, with the same rng consumption), but
-        builds no :class:`SwapScore` per candidate.  With the default
-        uniform lookahead weighting, distance sums are exact small-integer
-        arithmetic, so each candidate's cost is derived from shared base
-        sums by adjusting only the gates whose operands sit on the swapped
-        pair — O(touched gates) instead of O(front + extended) per
-        candidate — with bit-identical totals.
+        builds no :class:`SwapScore` per candidate.
+
+        With the default uniform lookahead weighting, distance sums are
+        exact small-integer arithmetic, so each candidate is scored from
+        per-physical-qubit *partner maps*.  Front-layer gates are
+        qubit-disjoint (two front gates sharing a qubit would be ordered
+        in the DAG), so a front physical qubit has exactly one partner;
+        an extended-set qubit has a short list.  SWAP ``(p1, p2)`` moves
+        the gate ``(p1, x)``, ``x != p2``, to ``(p2, x)``, so the
+        candidate's sum is the base sum plus ``d[p2][x] - d[p1][x]`` over
+        p1's partners and the mirror term over p2's — the same integers a
+        from-scratch re-sum gives, divided and combined by the same float
+        expression, hence bit-identical totals.
         """
         params = self.params
         dist = self._dist
@@ -184,69 +224,82 @@ class SabreCostModel:
         front = frontier.front_sorted()
         extended = frontier.following_gates(params.extended_set_size)
 
-        fpos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in front]
-        epos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in extended]
-
         candidates = self.candidate_swaps(dag, frontier, mapping)
         if not candidates:
             raise QLSError("no candidate swaps; disconnected coupling graph?")
 
         nf = max(len(front), 1)
-        ne = len(epos)
+        ne = len(extended)
         ew = params.extended_set_weight
         ld = params.lookahead_decay
         totals: List[float] = []
 
         if ld is None:
-            # Exact-integer incremental path (stock LightSABRE weighting).
+            fpart = self._front_partner
+            epart = self._ext_partners
+            append = totals.append
             base_f = 0
-            touch_f: Dict[int, List[int]] = {}
-            for i, (pa, pb) in enumerate(fpos):
-                base_f += dist[pa][pb]
-                touch_f.setdefault(pa, []).append(i)
-                touch_f.setdefault(pb, []).append(i)
             base_e = 0
-            touch_e: Dict[int, List[int]] = {}
-            for i, (pa, pb) in enumerate(epos):
-                base_e += dist[pa][pb]
-                touch_e.setdefault(pa, []).append(i)
-                touch_e.setdefault(pb, []).append(i)
-            for p1, p2 in candidates:
-                df = 0
-                l1 = touch_f.get(p1)
-                l2 = touch_f.get(p2)
-                touched = (set(l1) | set(l2)) if (l1 and l2) else (l1 or l2 or ())
-                for i in touched:
-                    pa, pb = fpos[i]
-                    npa = p2 if pa == p1 else (p1 if pa == p2 else pa)
-                    npb = p2 if pb == p1 else (p1 if pb == p2 else pb)
-                    df += dist[npa][npb] - dist[pa][pb]
-                basic = (base_f + df) / nf
-                if ne:
-                    de = 0
-                    l1 = touch_e.get(p1)
-                    l2 = touch_e.get(p2)
-                    touched = (set(l1) | set(l2)) if (l1 and l2) else (l1 or l2 or ())
-                    for i in touched:
-                        pa, pb = epos[i]
-                        npa = p2 if pa == p1 else (p1 if pa == p2 else pa)
-                        npb = p2 if pb == p1 else (p1 if pb == p2 else pb)
-                        de += dist[npa][npb] - dist[pa][pb]
-                    lookahead = (base_e + de) / ne
-                else:
-                    lookahead = 0.0
-                if decay:
-                    q1 = back[p1] if p1 < nback else -1
-                    q2 = back[p2] if p2 < nback else -1
-                    d1 = decay.get(q1, 1.0) if q1 >= 0 else 1.0
-                    d2 = decay.get(q2, 1.0) if q2 >= 0 else 1.0
-                    decay_factor = d1 if d1 >= d2 else d2
-                    totals.append(decay_factor * (basic + ew * lookahead))
-                else:
-                    totals.append(basic + ew * lookahead)
+            try:
+                for node in front:
+                    a, b = ops[node]
+                    pa = pi[a]
+                    pb = pi[b]
+                    fpart[pa] = pb
+                    fpart[pb] = pa
+                    base_f += dist[pa][pb]
+                for node in extended:
+                    a, b = ops[node]
+                    pa = pi[a]
+                    pb = pi[b]
+                    epart[pa].append(pb)
+                    epart[pb].append(pa)
+                    base_e += dist[pa][pb]
+                for p1, p2 in candidates:
+                    r1 = dist[p1]
+                    r2 = dist[p2]
+                    sf = base_f
+                    x = fpart[p1]
+                    if x >= 0 and x != p2:
+                        sf += r2[x] - r1[x]
+                    x = fpart[p2]
+                    if x >= 0 and x != p1:
+                        sf += r1[x] - r2[x]
+                    basic = sf / nf
+                    if ne:
+                        se = base_e
+                        for x in epart[p1]:
+                            if x != p2:
+                                se += r2[x] - r1[x]
+                        for x in epart[p2]:
+                            if x != p1:
+                                se += r1[x] - r2[x]
+                        lookahead = se / ne
+                    else:
+                        lookahead = 0.0
+                    if decay:
+                        q1 = back[p1] if p1 < nback else -1
+                        q2 = back[p2] if p2 < nback else -1
+                        d1 = decay.get(q1, 1.0) if q1 >= 0 else 1.0
+                        d2 = decay.get(q2, 1.0) if q2 >= 0 else 1.0
+                        decay_factor = d1 if d1 >= d2 else d2
+                        append(decay_factor * (basic + ew * lookahead))
+                    else:
+                        append(basic + ew * lookahead)
+            finally:
+                for node in front:
+                    a, b = ops[node]
+                    fpart[pi[a]] = -1
+                    fpart[pi[b]] = -1
+                for node in extended:
+                    a, b = ops[node]
+                    epart[pi[a]].clear()
+                    epart[pi[b]].clear()
         else:
             # Geometric per-rank weights are float products; replicate the
             # reference summation order exactly instead of using deltas.
+            fpos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in front]
+            epos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in extended]
             for p1, p2 in candidates:
                 basic = 0.0
                 for pa, pb in fpos:

@@ -1,6 +1,7 @@
 """Unit and property tests for the gate dependency DAG."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,3 +202,52 @@ class TestDagProperties:
         for layer in dag.layers():
             qubits = [q for n in layer for q in dag.gates[n].qubits]
             assert len(qubits) == len(set(qubits))
+
+
+def _reference_following(dag, front, executed, limit):
+    """The extended-set BFS as first written: it skips executed successors."""
+    result = []
+    seen = set(front)
+    queue = deque(sorted(front))
+    while queue and len(result) < limit:
+        node = queue.popleft()
+        for nxt in dag.successors(node):
+            if nxt in seen or nxt in executed:
+                continue
+            seen.add(nxt)
+            result.append(nxt)
+            if len(result) >= limit:
+                break
+            queue.append(nxt)
+    return result
+
+
+class TestFrontierInvariants:
+    """Along random executions, the incremental frontier agrees with a
+    from-scratch recomputation at every step."""
+
+    @given(n_qubits=st.integers(min_value=2, max_value=8),
+           n_gates=st.integers(min_value=0, max_value=40),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recomputation_along_random_execution(self, n_qubits,
+                                                          n_gates, seed):
+        rng = random.Random(seed)
+        gates = [cx(*rng.sample(range(n_qubits), 2)) for _ in range(n_gates)]
+        dag = DependencyDag(gates)
+        frontier = ExecutionFrontier(dag)
+        executed = set()
+        while True:
+            front = frontier.front
+            assert front == set(dag.front_layer(executed))
+            qubits = [q for node in front for q in dag.gates[node].qubits]
+            assert len(qubits) == len(set(qubits))  # qubit-disjoint
+            assert frontier.done() == (len(executed) == len(dag))
+            for limit in (0, 1, 3, 20):
+                assert frontier.following_gates(limit) == _reference_following(
+                    dag, front, executed, limit)
+            if frontier.done():
+                break
+            node = rng.choice(sorted(front))
+            frontier.execute(node)
+            executed.add(node)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import get_architecture, grid, line
 from repro.circuit import QuantumCircuit, circuit_from_pairs, cx, h
@@ -169,3 +170,90 @@ class TestSabreLayout:
         circuit = circuit_from_pairs(9, [(0, 1), (1, 2), (2, 3)] * 5)
         result = SabreLayout(seed=8).run(circuit, grid33)
         assert result.swap_count <= 2
+
+
+PAPER_DEVICES = ("aspen4", "sycamore54", "rochester53", "eagle127")
+
+
+def _reference_choice(model, dag, frontier, mapping, decay, rng):
+    """``score_all`` + min + ``rng.choice``: what ``best_swap`` must pick."""
+    scores = model.score_all(dag, frontier, mapping, decay)
+    best = min(s.total for s in scores)
+    ties = [s.swap for s in scores if s.total <= best + 1e-12]
+    return rng.choice(ties), best, len(ties)
+
+
+def _random_routing_state(device, rng):
+    """A mid-routing state: partial random mapping (sometimes leaving the
+    top physical qubits past ``len(mapping.backward)``), a random circuit
+    partly executed, and a few SWAPs already applied."""
+    n = device.num_qubits
+    usable = n - rng.choice((0, 0, 1, 3))
+    k = rng.randint(2, usable)
+    placed = rng.sample(range(usable), k)
+    mapping = Mapping({q: placed[q] for q in range(k)})
+    pairs = [tuple(rng.sample(range(k), 2))
+             for _ in range(rng.randint(1, 3 * k + 5))]
+    dag = DependencyDag.from_circuit(circuit_from_pairs(k, pairs))
+    frontier = ExecutionFrontier(dag)
+    for _ in range(rng.randint(0, len(dag) - 1)):
+        frontier.execute(rng.choice(sorted(frontier.front)))
+    inside = [e for e in device.edges if max(e) < len(mapping.backward)]
+    for _ in range(rng.randint(0, 6)):
+        mapping.swap_physical(*rng.choice(inside))
+    return dag, frontier, mapping
+
+
+class TestBestSwapKernel:
+    """The partner-map kernel equals the introspection reference exactly:
+    same swap, same float total, same rng consumption."""
+
+    @given(device_name=st.sampled_from(PAPER_DEVICES),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           extended_set_size=st.sampled_from((0, 1, 5, 20)),
+           lookahead_decay=st.sampled_from((None, None, 0.5)),
+           decay_keys=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_score_all_reference(self, device_name, seed,
+                                         extended_set_size, lookahead_decay,
+                                         decay_keys):
+        device = get_architecture(device_name)
+        rng = random.Random(seed)
+        params = SabreParameters(extended_set_size=extended_set_size,
+                                 lookahead_decay=lookahead_decay)
+        model = SabreCostModel(device, params)
+        # One model across several states: its scratch must not leak.
+        for _ in range(3):
+            dag, frontier, mapping = _random_routing_state(device, rng)
+            # Keys past the program qubits name nothing mapped.
+            decay = {q: 1.0 + rng.randint(1, 3) * params.decay_increment
+                     for q in rng.sample(range(len(mapping.forward) + 2),
+                                         min(decay_keys,
+                                             len(mapping.forward) + 2))}
+            draw = rng.randrange(2**32)
+            ref_rng = random.Random(draw)
+            expected_swap, expected_total, _ = _reference_choice(
+                model, dag, frontier, mapping, decay, ref_rng)
+            got_rng = random.Random(draw)
+            swap, total = model.best_swap(dag, frontier, mapping, decay,
+                                          got_rng)
+            assert (swap, total) == (expected_swap, expected_total)
+            assert got_rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("draw", range(8))
+    def test_forced_ties_draw_like_the_reference(self, draw):
+        """q0 and q4 at the ends of a line: moving either end inward
+        ties, so the pick is the rng's."""
+        device = line(5)
+        dag = DependencyDag.from_circuit(circuit_from_pairs(5, [(0, 4)]))
+        frontier = ExecutionFrontier(dag)
+        mapping = Mapping.identity(5)
+        model = SabreCostModel(device, SabreParameters())
+        ref_rng = random.Random(draw)
+        expected_swap, expected_total, ties = _reference_choice(
+            model, dag, frontier, mapping, {}, ref_rng)
+        assert ties == 2
+        got_rng = random.Random(draw)
+        assert model.best_swap(dag, frontier, mapping, {}, got_rng) == (
+            expected_swap, expected_total)
+        assert got_rng.getstate() == ref_rng.getstate()

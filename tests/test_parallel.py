@@ -45,6 +45,11 @@ def _sleep_unless_parent(parent_pid, seconds, value):
     return value
 
 
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
 def _stall_first_attempt(flag, value):
     """Stall only on the attempt that creates ``flag``; a retry returns."""
     if not os.path.exists(flag):
@@ -184,6 +189,26 @@ class TestTaskTimeout:
         assert stats["respawns"] == 1
         assert stats["recovered_tasks"] == 1
         assert stats["timeout_reruns"] == 1
+
+    def test_queued_task_clock_starts_when_a_worker_is_free(self):
+        """A task queued behind a straggler is not charged for the wait:
+        only the straggler times out, and the queued task — healed off
+        the straggler's terminated executor — runs on the respawned one
+        instead of being re-run in the parent as a second straggler."""
+        parent = os.getpid()
+        started = time.monotonic()
+        with WorkerPool(workers=1, task_timeout=1.0) as pool:
+            first_worker = pool.submit(_pid_after, 0).result(timeout=120)
+            stuck = pool.submit(_sleep_unless_parent, parent, 3, "slow")
+            queued = pool.submit(_pid_after, 0.1)
+            assert stuck.result(timeout=120) == "slow"
+            served_by = queued.result(timeout=120)
+        assert time.monotonic() - started < 6
+        assert served_by not in (parent, first_worker)
+        stats = pool.stats()
+        assert stats["timeout_reruns"] == 1
+        assert stats["respawns"] == 1
+        assert stats["recovered_tasks"] == 1
 
     def test_straggler_past_the_budget_still_frees_its_worker(self):
         """No respawn left: the worker is still terminated (shutdown does
