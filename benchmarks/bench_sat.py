@@ -11,8 +11,10 @@ Checks (all on the pure-Python backend, so results are host-independent):
   ``proven_lower_bound`` on every instance;
 * **Speedup** — the incremental sweep is >= 3x faster than the seed
   strategy aggregated over the bench instance set;
-* **Frontier** — one instance the seed strategy cannot close inside the
-  budget that the incremental sweep solves to proven optimality;
+* **Frontier** — one instance the seed strategy cannot close within a
+  per-call conflict budget that the incremental sweep solves to proven
+  optimality under the same budget (a conflict count, not seconds, so
+  the verdict does not depend on the host's speed);
 * **Throughput** — two-watched-literal propagation rate of the solver.
 """
 
@@ -41,10 +43,11 @@ BENCH_INSTANCES = [
     ("ring8", 4, 16, 21),
 ]
 
-#: The seed strategy cannot close this instance within FRONTIER_BUDGET
-#: seconds; the incremental sweep proves optimality well inside it.
+#: The seed strategy cannot close this instance within FRONTIER_CONFLICTS
+#: conflicts per solve call (its k=5 call needs 6,313); the incremental
+#: sweep proves optimality well inside it (its largest call needs 899).
 FRONTIER = ("grid3x3", 6, 36, 23)
-FRONTIER_BUDGET = 3.0
+FRONTIER_CONFLICTS = 2500
 
 #: The tiny E1 instance used across the repo's smoke checks.
 E1_SMOKE = ("grid3x3", 2, 24, 31)
@@ -119,7 +122,7 @@ def test_sat_smoke_incremental_vs_seed_strategy():
     device, instance = _instance(arch, swaps, gates, seed)
     blocked, _ = _timed_solve(
         ExactSolver(max_swaps=swaps + 1, incremental=False,
-                    time_limit=FRONTIER_BUDGET),
+                    conflict_limit=FRONTIER_CONFLICTS),
         instance.circuit, device,
     )
     assert blocked.optimal_swaps is None and blocked.timed_out, (
@@ -127,12 +130,12 @@ def test_sat_smoke_incremental_vs_seed_strategy():
         "frontier instance"
     )
     closed, closed_s = _timed_solve(
-        ExactSolver(max_swaps=swaps + 1, time_limit=FRONTIER_BUDGET),
+        ExactSolver(max_swaps=swaps + 1, conflict_limit=FRONTIER_CONFLICTS),
         instance.circuit, device,
     )
     assert closed.optimal_swaps == swaps, (
         "expected the incremental sweep to close the frontier instance "
-        f"inside {FRONTIER_BUDGET}s"
+        f"within {FRONTIER_CONFLICTS} conflicts per call"
     )
 
     # -- propagation hot-loop throughput ----------------------------------
@@ -160,7 +163,7 @@ def test_sat_smoke_incremental_vs_seed_strategy():
         "frontier": {
             "instance": dict(zip(("arch", "swaps", "gates", "seed"),
                                  FRONTIER)),
-            "budget_seconds": FRONTIER_BUDGET,
+            "conflict_limit": FRONTIER_CONFLICTS,
             "seed_strategy": {
                 "timed_out": True,
                 "proven_lower_bound": blocked.proven_lower_bound,
@@ -190,8 +193,8 @@ def test_sat_smoke_incremental_vs_seed_strategy():
     print(f"{'aggregate':<22}{fresh_total:>13.2f}s"
           f"{incremental_total:>12.2f}s{speedup:>6.1f}x")
     print(f"frontier {FRONTIER[0]}/{FRONTIER[1]}sw: seed strategy UNKNOWN "
-          f"in {FRONTIER_BUDGET}s; incremental optimal={closed.optimal_swaps} "
-          f"in {closed_s:.2f}s")
+          f"within {FRONTIER_CONFLICTS} conflicts per call; incremental "
+          f"optimal={closed.optimal_swaps} in {closed_s:.2f}s")
     print(f"propagation throughput: {props_per_second:,} props/s")
     print(f"BENCH_sat.json written to {OUTPUT}")
 

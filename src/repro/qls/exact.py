@@ -108,6 +108,19 @@ class SatEncoder:
             raise QLSError("circuit larger than device")
         self.builder = CnfBuilder()
         self.initial_mapping = initial_mapping
+        # Variable tables, filled block by block in allocation order:
+        # x(q, p, t) as ``_x_tables[t][q][p]``, y(g, t) / z(g, t) as
+        # ``_ys[g][t]`` / ``_zs[g][t]``, s(e, t) as ``_swaps[t][edge]``.
+        self._x_tables: List[List[List[int]]] = []
+        self._ys: List[List[int]] = [[] for _ in range(len(self.dag))]
+        self._zs: List[List[int]] = [[] for _ in range(len(self.dag))]
+        self._swaps: List[List[int]] = []
+        self._neighbors = [coupling.neighbors(p)
+                           for p in range(self.num_physical)]
+        self._incident = [
+            [i for i, e in enumerate(coupling.edges) if p in e]
+            for p in range(self.num_physical)
+        ]
         if selectors:
             self.built_k = -1
             self.extend_to(0)
@@ -117,17 +130,16 @@ class SatEncoder:
 
     # -- encoding -------------------------------------------------------------
 
-    def _x(self, q: int, p: int, t: int) -> int:
-        return self.builder.var(("x", q, p, t))
-
-    def _y(self, g: int, t: int) -> int:
-        return self.builder.var(("y", g, t))
-
-    def _z(self, g: int, t: int) -> int:
-        return self.builder.var(("z", g, t))
-
-    def _s(self, e: Edge, t: int) -> int:
-        return self.builder.var(("s", e, t))
+    def _xs(self, t: int) -> List[List[int]]:
+        """Block ``t``'s mapping variables, allocated q-major on first use
+        (where the first clause naming them would allocate them)."""
+        if t == len(self._x_tables):
+            var = self.builder.var
+            self._x_tables.append([
+                [var(("x", q, p, t)) for p in range(self.num_physical)]
+                for q in range(self.num_program)
+            ])
+        return self._x_tables[t]
 
     def _bound(self, j: int) -> int:
         return self.builder.var(("bound", j))
@@ -136,69 +148,69 @@ class SatEncoder:
         """Eager complete encoding at bound ``self.k`` (seed behaviour)."""
         for t in range(self.k + 1):
             self._encode_block(t)
-        for g in range(len(self.dag)):
-            self.builder.at_least_one(
-                [self._y(g, t) for t in range(self.k + 1)]
-            )
+        for ys in self._ys:
+            self.builder.at_least_one(ys)
         for t in range(self.k):
             self._encode_transition(t)
 
     def _encode_block(self, t: int) -> None:
         """Mapping block ``t``: well-formedness, gate placement in ``t``."""
         b = self.builder
-        physical = range(self.num_physical)
+        var = b.var
+        xt = self._xs(t)
         # Mapping well-formedness.
-        for q in range(self.num_program):
-            b.exactly_one([self._x(q, p, t) for p in physical])
-        for p in physical:
-            b.at_most_one([self._x(q, p, t) for q in range(self.num_program)])
+        for row in xt:
+            b.exactly_one(row)
+        for p in range(self.num_physical):
+            b.at_most_one([row[p] for row in xt])
         # Optional pinned initial mapping (router-only verification).
         if t == 0 and self.initial_mapping is not None:
             for q in range(self.num_program):
-                b.add_unit(self._x(q, self.initial_mapping.phys(q), 0))
+                b.add_unit(xt[q][self.initial_mapping.phys(q)])
         # Gate-to-block bookkeeping and dependency order.
-        for g in range(len(self.dag)):
+        for g, (ys, zs) in enumerate(zip(self._ys, self._zs)):
+            z = var(("z", g, t))
+            y = var(("y", g, t))
             if t == 0:
-                b.iff(self._z(g, 0), self._y(g, 0))
+                b.iff(z, y)
             else:
-                b.iff_or(self._z(g, t), [self._z(g, t - 1), self._y(g, t)])
-            for earlier_t in range(t):  # at most one block per gate
-                b.add([-self._y(g, earlier_t), -self._y(g, t)])
+                b.iff_or(z, [zs[-1], y])
+            for earlier in ys:  # at most one block per gate
+                b.add([-earlier, -y])
+            zs.append(z)
+            ys.append(y)
         for earlier, later in self.dag.edges():
-            b.implies(self._y(later, t), self._z(earlier, t))
+            b.implies(self._ys[later][t], self._zs[earlier][t])
         # Executability: a gate in block t sits on a coupling edge.
-        for g in range(len(self.dag)):
-            q1, q2 = self.dag.gates[g].qubits
-            for p in physical:
-                neighbors = [
-                    self._x(q2, p2, t) for p2 in self.coupling.neighbors(p)
-                ]
-                b.add([-self._y(g, t), -self._x(q1, p, t)] + neighbors)
+        for g, gate in enumerate(self.dag.gates):
+            q1, q2 = gate.qubits
+            y = self._ys[g][t]
+            x1, x2 = xt[q1], xt[q2]
+            for p, neighbors in enumerate(self._neighbors):
+                b.add([-y, -x1[p]] + [x2[p2] for p2 in neighbors])
 
     def _encode_transition(self, t: int) -> None:
         """Transition ``t``: at most one SWAP; mapping evolves accordingly."""
         b = self.builder
         physical = range(self.num_physical)
-        swaps = [self._s(e, t) for e in self.coupling.edges]
+        swaps = [b.var(("s", e, t)) for e in self.coupling.edges]
+        self._swaps.append(swaps)
         b.at_most_one(swaps)
-        moved = {p: b.var(("moved", p, t)) for p in physical}
+        moved = [b.var(("moved", p, t)) for p in physical]
         for p in physical:
-            incident = [
-                self._s(e, t) for e in self.coupling.edges if p in e
-            ]
-            b.iff_or(moved[p], incident)
+            b.iff_or(moved[p], [swaps[i] for i in self._incident[p]])
+        xt, xn = self._xs(t), self._xs(t + 1)
         for q in range(self.num_program):
+            now, nxt = xt[q], xn[q]
             for p in physical:
                 # Unmoved qubits stay put.
-                b.add([moved[p], -self._x(q, p, t), self._x(q, p, t + 1)])
-                b.add([moved[p], self._x(q, p, t), -self._x(q, p, t + 1)])
-        for e in self.coupling.edges:
-            a, c = e
-            s_var = self._s(e, t)
-            for q in range(self.num_program):
+                b.add([moved[p], -now[p], nxt[p]])
+                b.add([moved[p], now[p], -nxt[p]])
+        for s_var, (a, c) in zip(swaps, self.coupling.edges):
+            for now, nxt in zip(xt, xn):
                 # Swapped endpoints exchange occupants.
-                b.add([-s_var, -self._x(q, a, t), self._x(q, c, t + 1)])
-                b.add([-s_var, -self._x(q, c, t), self._x(q, a, t + 1)])
+                b.add([-s_var, -now[a], nxt[c]])
+                b.add([-s_var, -now[c], nxt[a]])
 
     # -- incremental growth and restriction -----------------------------------
 
@@ -222,9 +234,8 @@ class SatEncoder:
             if t > 0:
                 self._encode_transition(t - 1)
             self._encode_block(t)
-            for g in range(len(self.dag)):
-                b.add([self._y(g, tt) for tt in range(t + 1)]
-                      + [self._bound(t)])
+            for ys in self._ys:
+                b.add(ys + [self._bound(t)])
             self.built_k = t
 
     def assumptions_for(self, k_active: int) -> List[int]:
@@ -259,9 +270,9 @@ class SatEncoder:
                 f"bound {k_active} not built (built to {self.built_k})"
             )
         if k_active >= 1 and self.coupling.edges:
-            branch = [self._s(e, 0) for e in self.coupling.edges]
+            branch = list(self._swaps[0])
         elif self.num_program >= 1:
-            branch = [self._x(0, p, 0) for p in range(self.num_physical)]
+            branch = list(self._xs(0)[0])
         else:
             return [()]  # empty circuit: a single unconditional cube
         if max_cubes is not None and max_cubes >= 1:
@@ -348,11 +359,12 @@ class ExactSolver(QLSTool):
         One deadline (``time_limit`` from entry) governs the whole sweep:
         every k iteration — and every cube within it — receives the
         remaining budget, so encoding time and earlier iterations are
-        charged against the same clock.
+        charged against the same clock; ``time_limit=0`` times out before
+        the first solve, as on every backend.
         """
         skeleton = circuit.without_single_qubit_gates()
         deadline = time.monotonic() + self.time_limit \
-            if self.time_limit else None
+            if self.time_limit is not None else None
         engine = get_backend(self.backend)
         with borrow_pool(self.pool, self.workers) as pool:
             if pool is not None:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dimacs
 from .solver import CdclSolver
-from .types import Model, SolverResult
+from .types import Model, SolverResult, as_literals
 
 #: ``auto`` preference order: external engines are orders of magnitude
 #: faster than the pure-Python solver, so any of them wins when present.
@@ -56,7 +56,10 @@ class SatSession(abc.ABC):
     def solve(self, assumptions: Sequence[int] = (),
               conflict_limit: Optional[int] = None,
               time_limit: Optional[float] = None) -> SolverResult:
-        """Decide satisfiability under per-call assumptions and budgets."""
+        """Decide satisfiability under per-call assumptions and budgets.
+
+        A ``time_limit`` of 0 is a spent budget: the answer is UNKNOWN.
+        """
 
     @abc.abstractmethod
     def model(self) -> Optional[Model]:
@@ -152,7 +155,10 @@ class PythonBackend(SatBackend):
 # -- pysat backend (import-gated) --------------------------------------------
 
 class PysatSession(SatSession):
-    """Session over a python-sat solver (native assumptions)."""
+    """Session over a python-sat solver (native assumptions).
+
+    A positive ``time_limit`` is not enforced; a zero one answers UNKNOWN.
+    """
 
     def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]],
                  solver_name: str) -> None:
@@ -161,20 +167,23 @@ class PysatSession(SatSession):
         self._num_vars = num_vars
         self._solver = pysat.solvers.Solver(name=solver_name)
         for clause in clauses:
-            self._solver.add_clause(list(clause))
+            self._solver.add_clause(as_literals(clause))
         self._last: Optional[SolverResult] = None
         self._calls = 0
 
     def solve(self, assumptions: Sequence[int] = (),
               conflict_limit: Optional[int] = None,
               time_limit: Optional[float] = None) -> SolverResult:
+        assumptions = as_literals(assumptions)
         self._calls += 1
+        if time_limit is not None and time_limit <= 0:
+            self._last = SolverResult.UNKNOWN
+            return self._last
         if conflict_limit is not None:
             self._solver.conf_budget(conflict_limit)
-            answer = self._solver.solve_limited(
-                assumptions=list(assumptions))
+            answer = self._solver.solve_limited(assumptions=assumptions)
         else:
-            answer = self._solver.solve(assumptions=list(assumptions))
+            answer = self._solver.solve(assumptions=assumptions)
         if answer is None:
             self._last = SolverResult.UNKNOWN
         else:
@@ -201,7 +210,7 @@ class PysatSession(SatSession):
         return stats
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        self._solver.add_clause(list(clause))
+        self._solver.add_clause(as_literals(clause))
 
 
 class PysatBackend(SatBackend):
@@ -236,7 +245,7 @@ class DimacsProcessSession(SatSession):
     def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]],
                  executable: str) -> None:
         self._num_vars = num_vars
-        self._clauses = [list(c) for c in clauses]
+        self._clauses = [as_literals(c) for c in clauses]
         self._executable = executable
         self._model: Optional[Model] = None
         self._stats = {"calls": 0, "timeouts": 0}
@@ -245,6 +254,7 @@ class DimacsProcessSession(SatSession):
               conflict_limit: Optional[int] = None,
               time_limit: Optional[float] = None) -> SolverResult:
         del conflict_limit  # no portable CLI flag; budget by time instead
+        assumptions = as_literals(assumptions)
         self._stats["calls"] += 1
         self._model = None
         clauses = self._clauses + [[l] for l in assumptions]
@@ -302,7 +312,7 @@ class DimacsProcessSession(SatSession):
         return dict(self._stats)
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        self._clauses.append(list(clause))
+        self._clauses.append(as_literals(clause))
 
 
 class DimacsProcessBackend(SatBackend):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .types import Model
+from .types import Model, as_literals
 
 
 class CnfBuilder:
@@ -49,8 +49,11 @@ class CnfBuilder:
     # -- clause emission ------------------------------------------------------
 
     def add(self, clause: Sequence[int]) -> None:
-        """Add a raw DIMACS clause."""
-        self.clauses.append([int(l) for l in clause])
+        """Add a raw DIMACS clause.
+
+        Raises ``ValueError`` for a literal that is 0 or not an integer.
+        """
+        self.clauses.append(as_literals(clause))
 
     def add_unit(self, literal: int) -> None:
         self.add([literal])

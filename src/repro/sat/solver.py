@@ -8,23 +8,56 @@ offline).  It implements the standard modern architecture:
   touched, the classic MiniSat trick that skips most clause visits;
 * first-UIP conflict analysis with clause learning and non-chronological
   backjumping;
-* exponential VSIDS activity (heap-backed decision queue with lazy
-  staleness, not a linear scan) with phase saving;
+* exponential VSIDS activity (heap-backed decision queue) with phase
+  saving;
 * Luby-sequence restarts;
 * learned-clause deletion by activity (simple geometric reduce schedule).
 
-The propagation inner loop is deliberately flat: watch lists are packed
-``[clause_index, blocker, clause_index, blocker, ...]`` integer arrays
-edited in place with a read/write cursor pair, and the loop binds every
-hot attribute to a local once.  In pure Python those choices are worth
-roughly 2x on propagation-bound instances (tracked in ``BENCH_sat.json``
-via ``benchmarks/bench_sat.py``).
+Performance.  MiniSat's design pays CPython costs MiniSat never had; the
+kernel removes them without changing a single search decision, so the
+conflicts, decisions, propagations, learned and deleted clauses and the
+models of every call are those of the straightforward formulation
+(pinned by ``tests/sat/test_search_golden.py``).  Each step, and why it
+is decision-identical:
+
+* *Per-literal values.*  ``_value[lit]`` is 1 (true), 0 (false) or -1
+  (unassigned) for every packed literal, written for both polarities on
+  assignment, so a literal test is one list load instead of
+  ``assign[lit >> 1] ^ (lit & 1)``.  It is the only assignment store and
+  holds the same truth values.  Backtracking leaves a variable's reason
+  in place: reasons are only read while the variable is assigned.
+* *Flat watch loop.*  Watch lists are packed ``[clause, blocker, ...]``
+  integer arrays scanned by ``for i in range(0, n, 2)``; a kept watch is
+  written back only once an earlier one has been dropped, and the gap is
+  deleted in one slice.  The watches visited, their order and every
+  clause edit are those of a read/write cursor pair.
+* *Deduplicated decision heap.*  ``_in_heap[var]`` records that the heap
+  holds an entry with ``var``'s current activity, so backtracking pushes
+  only variables that lost theirs (popped, or bumped since).  Every
+  unassigned variable still has a current entry, and the pick is a
+  function of (activity, assignment) — highest activity, ties to the
+  lowest variable — whatever stale entries the heap carries.
+* *Reused analysis marks.*  ``_analyze`` and ``_minimize`` share one
+  ``_seen`` array across conflicts (cleared after each use) in place of a
+  fresh list and set, and bump activity inline: every variable they
+  visit is assigned, so a bump only ever made its heap entry stale.
+* *Kept unit list.*  Unit input clauses are recorded once, so each
+  ``solve`` call enqueues the same units in the same order without
+  rescanning the clause database.  Keeping them out of the database
+  shifts clause indices uniformly, which preserves the index order
+  ``_reduce_db`` breaks activity ties by.
+* *One packing loop* per added clause: after ``as_literals`` validates
+  the literals, one loop packs them, keeps first occurrences and spots a
+  tautology, yielding the same packed clause.  Assumptions go through
+  the same loop.
 
 The solver is *incremental*: clauses may be added between ``solve`` calls,
 and ``solve(assumptions=...)`` decides satisfiability under temporary
 assumption literals while keeping everything learned so far — the engine
 behind the exact QLS tool's single-encoding ``k`` sweep.  ``conflict_limit``
-and ``time_limit`` are per-call budgets.
+and ``time_limit`` are per-call budgets; a zero ``time_limit`` answers
+UNKNOWN.  Throughput is tracked by ``perfbench/run.py --workload exact``
+(``sat.propagations_per_s``, ``sat.solve_s``).
 """
 
 from __future__ import annotations
@@ -33,17 +66,27 @@ import time
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .types import (
-    Model,
-    SolverResult,
-    check_clause,
-    clause_is_tautology,
-    internal_to_lit,
-    lit_to_internal,
-    negate_internal,
-)
+from .types import Model, SolverResult, as_literals
 
-_UNASSIGNED = -1
+
+def _pack(literals: Iterable) -> Tuple[List[int], bool]:
+    """Validate and pack DIMACS literals: ``+v`` -> ``2v``, ``-v`` -> ``2v+1``.
+
+    Returns the packed literals without repeats, first occurrences in
+    order, and whether some variable occurs in both polarities.  Raises
+    ``ValueError`` for a literal that is 0 or not an integer.
+    """
+    # Clauses are short, so scanning the packed list beats a set.
+    packed: List[int] = []
+    tautology = False
+    for lit in as_literals(literals):
+        lit = 2 * lit if lit > 0 else 1 - 2 * lit
+        if lit in packed:
+            continue
+        if lit ^ 1 in packed:
+            tautology = True
+        packed.append(lit)
+    return packed, tautology
 
 
 class CdclSolver:
@@ -51,25 +94,31 @@ class CdclSolver:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        # Clause database: list of literal arrays (packed form).
+        # Clause database (packed literals); unit input clauses live in
+        # ``_units`` instead, as packed literals in input order.
         self._clauses: List[List[int]] = []
         self._learned_flags: List[bool] = []
         self._clause_activity: List[float] = []
+        self._units: List[int] = []
         # Watches: packed literal -> flat [clause_index, blocker, ...] pairs.
         self._watches: List[List[int]] = [[], []]
-        # Assignment trail.
-        self._assign: List[int] = [_UNASSIGNED, _UNASSIGNED]
-        self._level: List[int] = [0, 0]
-        self._reason: List[int] = [-1, -1]
+        # Assignment: per packed literal 1 true / 0 false / -1 unassigned;
+        # per variable the decision level and reason clause (-1: none).
+        # A variable's reason is only read while it is assigned.
+        self._value: List[int] = [-1, -1]
+        self._level: List[int] = [0]
+        self._reason: List[int] = [-1]
         self._trail: List[int] = []  # packed literals in assignment order
         self._trail_lim: List[int] = []
         self._qhead = 0
         # VSIDS.
-        self._activity: List[float] = [0.0, 0.0]
+        self._activity: List[float] = [0.0]
         self._var_inc = 1.0
         self._var_decay = 0.95
-        self._phase: List[bool] = [False, False]
-        self._heap: List[Tuple[float, int]] = []  # (-activity, var), lazy
+        self._phase: List[bool] = [False]
+        self._heap: List[Tuple[float, int]] = []  # (-activity, var)
+        self._in_heap: List[bool] = [False]  # heap holds a current entry
+        self._seen: List[bool] = [False]  # conflict-analysis marks
         # Clause activity.
         self._cla_inc = 1.0
         self._cla_decay = 0.999
@@ -88,43 +137,51 @@ class CdclSolver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable."""
-        self.num_vars += 1
-        self._assign.append(_UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._phase.append(False)
-        self._watches.append([])
-        self._watches.append([])
+        self._ensure_vars(self.num_vars + 1)
         return self.num_vars
 
     def _ensure_vars(self, max_var: int) -> None:
-        while self.num_vars < max_var:
-            self.new_var()
+        extra = max_var - self.num_vars
+        if extra <= 0:
+            return
+        self.num_vars = max_var
+        # Grown in place, like every per-variable array: hot loops and
+        # ``solve`` hold them in locals across calls.
+        self._value += [-1, -1] * extra
+        self._watches += [[] for _ in range(2 * extra)]
+        self._level += [0] * extra
+        self._reason += [-1] * extra
+        self._activity += [0.0] * extra
+        self._phase += [False] * extra
+        self._in_heap += [False] * extra
+        self._seen += [False] * extra
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        """Add a DIMACS clause; empty clause marks the instance UNSAT."""
-        clause = check_clause(clause)
-        if clause_is_tautology(clause):
+        """Add a DIMACS clause; empty clause marks the instance UNSAT.
+
+        Raises ``ValueError`` for a literal that is 0 or not an integer.
+        Repeated literals are dropped and tautologies ignored.
+        """
+        packed, tautology = _pack(clause)
+        if tautology:
             return
-        if not clause:
+        if not packed:
             self._empty_clause = True
             return
-        self._ensure_vars(max(abs(l) for l in clause))
-        packed = [lit_to_internal(l) for l in clause]
+        top = max(packed) >> 1
+        if top > self.num_vars:
+            self._ensure_vars(top)
         if len(packed) == 1:
-            # Queue as a root-level implication at solve time.
-            self._clauses.append(packed)
-            self._learned_flags.append(False)
-            self._clause_activity.append(0.0)
+            # Enqueued as a root-level implication at solve time.
+            self._units.append(packed[0])
             return
         index = len(self._clauses)
         self._clauses.append(packed)
         self._learned_flags.append(False)
         self._clause_activity.append(0.0)
         # Each watch carries the *other* watched literal as its blocker.
-        self._watches[packed[0]].extend((index, packed[1]))
-        self._watches[packed[1]].extend((index, packed[0]))
+        self._watches[packed[0]] += (index, packed[1])
+        self._watches[packed[1]] += (index, packed[0])
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -132,229 +189,233 @@ class CdclSolver:
 
     # -- assignment helpers -----------------------------------------------
 
-    def _var_value(self, var: int) -> int:
-        return self._assign[var]
-
-    def _lit_value(self, packed: int) -> int:
-        """0=false, 1=true, -1=unassigned for a packed literal."""
-        v = self._assign[packed >> 1]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v ^ (packed & 1)
-
     def _enqueue(self, packed: int, reason: int) -> None:
         var = packed >> 1
-        self._assign[var] = 1 - (packed & 1)
+        self._value[packed] = 1
+        self._value[packed ^ 1] = 0
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._phase[var] = (packed & 1) == 0
+        self._phase[var] = not packed & 1
         self._trail.append(packed)
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
 
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self) -> int:
         """Unit propagation; returns conflicting clause index or -1."""
         trail = self._trail
-        assign = self._assign
+        value = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
         clauses = self._clauses
         watches = self._watches
+        depth = len(self._trail_lim)
         props = 0
         qhead = self._qhead
+        conflict = -1
         while qhead < len(trail):
-            packed = trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            false_lit = packed ^ 1
             wl = watches[false_lit]
-            i = 0
-            j = 0
-            n = len(wl)
-            conflict = -1
-            while i < n:
-                ci = wl[i]
+            j = 0  # next kept slot; j < i once a watch has been dropped
+            for i in range(0, len(wl), 2):
                 blocker = wl[i + 1]
-                i += 2
-                bv = assign[blocker >> 1]
-                if bv >= 0 and bv ^ (blocker & 1):
+                if value[blocker] == 1:
                     # Blocker satisfied: keep the watch, skip the clause.
-                    wl[j] = ci
-                    wl[j + 1] = blocker
+                    if j != i:
+                        wl[j] = wl[i]
+                        wl[j + 1] = blocker
                     j += 2
                     continue
+                ci = wl[i]
                 clause = clauses[ci]
                 # Normalize: false literal at position 1.
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
                 first = clause[0]
-                fv = assign[first >> 1]
-                if fv >= 0 and fv ^ (first & 1):
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                fv = value[first]
+                if fv == 1:
                     # Satisfied by the other watch; cache it as the blocker.
                     wl[j] = ci
                     wl[j + 1] = first
                     j += 2
                     continue
                 # Look for a replacement watch (any non-false literal).
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    ov = assign[other >> 1]
-                    if ov < 0 or ov ^ (other & 1):
+                    if value[other] != 0:
                         clause[1] = other
                         clause[k] = false_lit
-                        watches[other].extend((ci, first))
-                        found = True
+                        watches[other] += (ci, first)
                         break
-                if found:
-                    continue
-                wl[j] = ci
-                wl[j + 1] = first
-                j += 2
-                if fv >= 0:
-                    # first is false too: conflict.  Copy the rest back.
-                    while i < n:
-                        wl[j] = wl[i]
-                        wl[j + 1] = wl[i + 1]
-                        i += 2
-                        j += 2
-                    conflict = ci
-                    break
-                # Unit: enqueue first (inlined _enqueue).
-                props += 1
-                var = first >> 1
-                assign[var] = 1 - (first & 1)
-                level[var] = len(self._trail_lim)
-                reason[var] = ci
-                phase[var] = (first & 1) == 0
-                trail.append(first)
-            del wl[j:]
-            if conflict >= 0:
-                self._qhead = qhead
-                self.stats["propagations"] += props
-                return conflict
+                else:
+                    wl[j] = ci
+                    wl[j + 1] = first
+                    j += 2
+                    if fv == 0:
+                        # first is false too: conflict.  The unvisited
+                        # watches stay where they are; close the gap.
+                        conflict = ci
+                        del wl[j:i + 2]
+                        break
+                    # Unit: enqueue first (inlined _enqueue).
+                    props += 1
+                    var = first >> 1
+                    value[first] = 1
+                    value[first ^ 1] = 0
+                    level[var] = depth
+                    reason[var] = ci
+                    phase[var] = not first & 1
+                    trail.append(first)
+            else:
+                del wl[j:]
+                continue
+            break
         self._qhead = qhead
         self.stats["propagations"] += props
-        return -1
+        return conflict
 
     # -- conflict analysis -----------------------------------------------
 
-    def _bump_var(self, var: int) -> None:
-        activity = self._activity[var] + self._var_inc
-        self._activity[var] = activity
-        if activity > 1e100:
-            self._rescale_activity()
-        elif self._assign[var] == _UNASSIGNED:
-            heappush(self._heap, (-activity, var))
+    # The per-variable arrays are rewritten in place (see _ensure_vars).
 
     def _rescale_activity(self) -> None:
-        for v in range(1, self.num_vars + 1):
-            self._activity[v] *= 1e-100
+        self._activity[:] = [a * 1e-100 for a in self._activity]
         self._var_inc *= 1e-100
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        assign = self._assign
+        value = self._value
         activity = self._activity
-        self._heap = [
-            (-activity[v], v) for v in range(1, self.num_vars + 1)
-            if assign[v] == _UNASSIGNED
-        ]
+        in_heap = self._in_heap
+        in_heap[:] = [False] + [value[2 * v] < 0
+                                for v in range(1, self.num_vars + 1)]
+        self._heap[:] = [(-activity[v], v)
+                         for v in range(1, self.num_vars + 1) if in_heap[v]]
         heapify(self._heap)
 
     def _bump_clause(self, ci: int) -> None:
-        self._clause_activity[ci] += self._cla_inc
-        if self._clause_activity[ci] > 1e20:
-            for j in range(len(self._clause_activity)):
-                self._clause_activity[j] *= 1e-20
+        activity = self._clause_activity
+        activity[ci] += self._cla_inc
+        if activity[ci] > 1e20:
+            activity[:] = [a * 1e-20 for a in activity]
             self._cla_inc *= 1e-20
 
     def _analyze(self, conflict: int) -> Tuple[List[int], int]:
         """First-UIP learning: returns (learned packed clause, backjump level)."""
+        clauses = self._clauses
+        learned_flags = self._learned_flags
+        level = self._level
+        trail = self._trail
+        seen = self._seen
+        in_heap = self._in_heap
+        activity = self._activity
+        var_inc = self._var_inc
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
         counter = 0
-        packed = -1
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         reason = conflict
-        cur_level = self._decision_level()
+        start = 0  # past the conflict, skip the reason's implied literal
+        cur_level = len(self._trail_lim)
         while True:
-            clause = self._clauses[reason]
-            if self._learned_flags[reason]:
+            if learned_flags[reason]:
                 self._bump_clause(reason)
-            start = 0 if packed == -1 else 1
-            for lit in clause[start:]:
+            for lit in clauses[reason][start:]:
                 var = lit >> 1
-                if seen[var] or self._level[var] == 0:
+                if seen[var]:
+                    continue
+                var_level = level[var]
+                if var_level == 0:
                     continue
                 seen[var] = True
-                self._bump_var(var)
-                if self._level[var] >= cur_level:
+                # Bump (inlined): ``var`` is assigned, so its heap entry
+                # just went stale and no push is due.
+                bumped = activity[var] + var_inc
+                activity[var] = bumped
+                in_heap[var] = False
+                if bumped > 1e100:
+                    self._rescale_activity()
+                    var_inc = self._var_inc
+                if var_level >= cur_level:
                     counter += 1
                 else:
                     learned.append(lit)
             # Walk the trail back to the next marked literal.
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            packed = self._trail[index]
+            packed = trail[index]
             index -= 1
-            var = packed >> 1
-            seen[var] = False
             counter -= 1
             if counter == 0:
-                break
+                break  # the UIP stays marked, like every learned variable
+            var = packed >> 1
+            seen[var] = False
             reason = self._reason[var]
-        learned[0] = negate_internal(packed)
+            start = 1
+        learned[0] = packed ^ 1
         # Clause minimization: drop literals implied by the rest.
-        learned = self._minimize(learned, seen)
+        learned = self._minimize(learned)
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest level in the clause.
-        levels = sorted((self._level[l >> 1] for l in learned[1:]), reverse=True)
-        back = levels[0]
+        back = max(level[l >> 1] for l in learned[1:])
         # Put a literal of the backjump level in position 1 for watching.
         for k in range(1, len(learned)):
-            if self._level[learned[k] >> 1] == back:
+            if level[learned[k] >> 1] == back:
                 learned[1], learned[k] = learned[k], learned[1]
                 break
         return learned, back
 
-    def _minimize(self, learned: List[int], seen: List[bool]) -> List[int]:
-        """Cheap recursive minimization (self-subsumption by reasons)."""
-        marked = set(l >> 1 for l in learned)
+    def _minimize(self, learned: List[int]) -> List[int]:
+        """Cheap recursive minimization (self-subsumption by reasons).
+
+        ``_seen`` marks exactly the variables of ``learned`` on entry and
+        is cleared on return.
+        """
+        seen = self._seen
+        level = self._level
+        reasons = self._reason
+        clauses = self._clauses
         result = [learned[0]]
-        for lit in learned[1:]:
+        for k in range(1, len(learned)):
+            lit = learned[k]
             var = lit >> 1
-            reason = self._reason[var]
+            reason = reasons[var]
             if reason < 0:
                 result.append(lit)
                 continue
-            clause = self._clauses[reason]
-            if all((other >> 1) in marked or self._level[other >> 1] == 0
-                   for other in clause if (other >> 1) != var):
-                continue  # implied; drop
-            result.append(lit)
-        del seen
+            for other in clauses[reason]:
+                ov = other >> 1
+                if ov != var and not seen[ov] and level[ov] != 0:
+                    result.append(lit)  # not implied; keep
+                    break
+        for lit in learned:
+            seen[lit >> 1] = False
         return result
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
+        value = self._value
         heap = self._heap
         activity = self._activity
-        limit = self._trail_lim[level]
-        for packed in reversed(self._trail[limit:]):
+        in_heap = self._in_heap
+        trail = self._trail
+        limit = trail_lim[level]
+        for k in range(limit, len(trail)):
+            packed = trail[k]
+            value[packed] = -1
+            value[packed ^ 1] = -1
             var = packed >> 1
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = -1
-            heappush(heap, (-activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self._qhead = limit
 
     def _record_learned(self, learned: List[int]) -> None:
         self.stats["learned"] += 1
@@ -365,27 +426,29 @@ class CdclSolver:
         self._clauses.append(learned)
         self._learned_flags.append(True)
         self._clause_activity.append(self._cla_inc)
-        self._watches[learned[0]].extend((index, learned[1]))
-        self._watches[learned[1]].extend((index, learned[0]))
+        self._watches[learned[0]] += (index, learned[1])
+        self._watches[learned[1]] += (index, learned[0])
         self._enqueue(learned[0], index)
 
     # -- decisions ------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        """Highest-activity unassigned variable (lazy heap).
+        """Highest-activity unassigned variable, ties to the lowest index.
 
-        Stale entries — the variable was assigned, or its activity moved
-        since the entry was pushed (a fresher entry exists in that case) —
-        are discarded on pop.  Ties break toward the lowest variable index,
-        matching the linear scan this replaced.
+        Entries whose activity is no longer the variable's are stale and
+        skipped; popping a variable's current entry clears its
+        ``_in_heap`` flag, so backtracking pushes it again.
         """
         heap = self._heap
-        assign = self._assign
+        value = self._value
         activity = self._activity
+        in_heap = self._in_heap
         while heap:
             neg_act, var = heappop(heap)
-            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
-                return var
+            if -neg_act == activity[var]:
+                in_heap[var] = False
+                if value[2 * var] < 0:
+                    return var
         return 0
 
     # -- learned clause management -----------------------------------------
@@ -404,13 +467,12 @@ class CdclSolver:
         if not to_delete:
             return
         self.stats["deleted"] += len(to_delete)
-        keep_mask = [i not in to_delete for i in range(len(self._clauses))]
         remap: Dict[int, int] = {}
         new_clauses: List[List[int]] = []
         new_flags: List[bool] = []
         new_act: List[float] = []
-        for i, keep in enumerate(keep_mask):
-            if keep:
+        for i in range(len(self._clauses)):
+            if i not in to_delete:
                 remap[i] = len(new_clauses)
                 new_clauses.append(self._clauses[i])
                 new_flags.append(self._learned_flags[i])
@@ -422,13 +484,12 @@ class CdclSolver:
             wl = self._watches[lit]
             kept: List[int] = []
             for p in range(0, len(wl), 2):
-                ci = remap.get(wl[p])
-                if ci is not None:
-                    kept.extend((ci, wl[p + 1]))
+                ci = wl[p]
+                if ci in remap:
+                    kept += (remap[ci], wl[p + 1])
             self._watches[lit] = kept
-        for var in range(1, self.num_vars + 1):
-            r = self._reason[var]
-            self._reason[var] = remap.get(r, -1) if r >= 0 else -1
+        self._reason[:] = [remap.get(r, -1) if r >= 0 else -1
+                           for r in self._reason]
 
     # -- main loop ------------------------------------------------------------
 
@@ -450,42 +511,47 @@ class CdclSolver:
 
         Both budgets are *per call*: ``conflict_limit`` counts conflicts in
         this call only (``self.stats`` stays cumulative), so an incremental
-        caller gets a fresh budget each invocation.
+        caller gets a fresh budget each invocation.  A ``time_limit`` of 0
+        (or less) answers UNKNOWN once the root level is propagated.
+        Assumption literals are validated like clause literals.
         """
+        # Dropping a repeated assumption changes nothing: its first copy
+        # is already true by the time the loop below reaches it.
+        assumption_packed, _ = _pack(assumptions)
         if self._empty_clause:
             return SolverResult.UNSAT
         self._backtrack(0)
         # Re-propagate the whole root trail: clauses added since the last
         # call may already be unit or falsified under level-0 assignments.
         self._qhead = 0
-        # Root-level units from unit input clauses.
-        for ci, clause in enumerate(self._clauses):
-            if len(clause) == 1 and not self._learned_flags[ci]:
-                value = self._lit_value(clause[0])
-                if value == 0:
-                    return SolverResult.UNSAT
-                if value == _UNASSIGNED:
-                    self._enqueue(clause[0], -1)
+        value = self._value
+        for packed in self._units:
+            if value[packed] == 0:
+                return SolverResult.UNSAT
+            if value[packed] < 0:
+                self._enqueue(packed, -1)
         if self._propagate() >= 0:
             return SolverResult.UNSAT
-        for l in assumptions:
-            self._ensure_vars(abs(l))
-        assumption_packed = [lit_to_internal(l) for l in assumptions]
+        if assumption_packed:
+            self._ensure_vars(max(assumption_packed) >> 1)
         self._rebuild_heap()
 
-        deadline = time.monotonic() + time_limit if time_limit else None
-        conflicts_at_start = self.stats["conflicts"]
+        deadline = time.monotonic() + time_limit \
+            if time_limit is not None else None
+        stats = self.stats
+        conflicts_at_start = stats["conflicts"]
         restart_count = 1
         budget = 100 * self._luby(restart_count)
         conflicts_here = 0
-        reduce_at = self.stats["learned"] + 2000
+        reduce_at = stats["learned"] + 2000
+        trail_lim = self._trail_lim
 
         while True:
             conflict = self._propagate()
             if conflict >= 0:
-                self.stats["conflicts"] += 1
+                stats["conflicts"] += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     return SolverResult.UNSAT
                 learned, back = self._analyze(conflict)
                 self._backtrack(back)
@@ -493,51 +559,45 @@ class CdclSolver:
                 self._var_inc /= self._var_decay
                 self._cla_inc /= self._cla_decay
                 if conflict_limit is not None and \
-                        self.stats["conflicts"] - conflicts_at_start \
+                        stats["conflicts"] - conflicts_at_start \
                         >= conflict_limit:
                     return SolverResult.UNKNOWN
-                if self.stats["learned"] >= reduce_at:
+                if stats["learned"] >= reduce_at:
                     self._reduce_db()
                     reduce_at += 1000
                 continue
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 return SolverResult.UNKNOWN
             if conflicts_here >= budget:
-                self.stats["restarts"] += 1
+                stats["restarts"] += 1
                 restart_count += 1
                 budget = 100 * self._luby(restart_count)
                 conflicts_here = 0
                 self._backtrack(0)
                 continue
-            # Apply pending assumptions as pseudo-decisions.
-            packed = self._next_assumption(assumption_packed)
-            if packed == -2:
-                return SolverResult.UNSAT
+            # Apply pending assumptions as pseudo-decisions: the first
+            # unassigned one, or UNSAT if one is already false.
+            packed = -1
+            for lit in assumption_packed:
+                if value[lit] == 0:
+                    return SolverResult.UNSAT
+                if value[lit] < 0:
+                    packed = lit
+                    break
             if packed == -1:
                 var = self._pick_branch_var()
                 if var == 0:
                     return SolverResult.SAT
-                self.stats["decisions"] += 1
+                stats["decisions"] += 1
                 packed = 2 * var + (0 if self._phase[var] else 1)
-            self._trail_lim.append(len(self._trail))
+            trail_lim.append(len(self._trail))
             self._enqueue(packed, -1)
-
-    def _next_assumption(self, assumption_packed: List[int]) -> int:
-        """Next unassigned assumption literal, -1 if none, -2 on conflict."""
-        for packed in assumption_packed:
-            value = self._lit_value(packed)
-            if value == 0:
-                return -2
-            if value == _UNASSIGNED:
-                return packed
-        return -1
 
     def model(self) -> Model:
         """Extract the satisfying assignment after a SAT answer."""
-        values = {}
-        for var in range(1, self.num_vars + 1):
-            values[var] = self._assign[var] == 1
-        return Model(values)
+        value = self._value
+        return Model({var: value[2 * var] == 1
+                      for var in range(1, self.num_vars + 1)})
 
 
 def solve_clauses(clauses: Iterable[Sequence[int]],

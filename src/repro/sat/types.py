@@ -8,7 +8,8 @@ literal as ``2*v`` (positive) / ``2*v + 1`` (negative) for array indexing.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from operator import index
+from typing import Dict, Iterable, List
 
 
 class SolverResult(Enum):
@@ -43,39 +44,29 @@ class Model:
         return variable in self._values
 
 
-def lit_to_internal(literal: int) -> int:
-    """DIMACS literal -> packed index."""
-    v = abs(literal)
-    return 2 * v if literal > 0 else 2 * v + 1
+def as_literal(value) -> int:
+    """``value`` as a DIMACS literal: a non-zero integer, as a plain ``int``.
+
+    numpy integers pass; ``ValueError`` names a value that is 0 or not an
+    integer — ``1.5`` is rejected, never truncated to 1.
+    """
+    try:
+        literal = index(value)
+    except TypeError:
+        raise ValueError(f"literal {value!r} is not an integer") from None
+    if literal == 0:
+        raise ValueError("literal 0 is reserved in DIMACS clauses")
+    return literal
 
 
-def internal_to_lit(index: int) -> int:
-    """Packed index -> DIMACS literal."""
-    v = index >> 1
-    return v if (index & 1) == 0 else -v
-
-
-def negate_internal(index: int) -> int:
-    """Negation in packed form."""
-    return index ^ 1
-
-
-def check_clause(clause: Sequence[int]) -> List[int]:
-    """Validate and normalize a DIMACS clause (dedupe, reject 0)."""
-    seen = set()
-    out: List[int] = []
-    for literal in clause:
-        literal = int(literal)
-        if literal == 0:
-            raise ValueError("literal 0 is reserved in DIMACS clauses")
-        if literal in seen:
-            continue
-        seen.add(literal)
-        out.append(literal)
-    return out
-
-
-def clause_is_tautology(clause: Sequence[int]) -> bool:
-    """True when the clause contains both polarities of a variable."""
-    lits = set(clause)
-    return any(-l in lits for l in lits)
+def as_literals(values: Iterable) -> List[int]:
+    """:func:`as_literal` over a clause or an assumption list."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)  # the fallback below reads it again
+    try:
+        literals = list(map(index, values))  # the fast path, in C
+        if 0 not in literals:
+            return literals
+    except TypeError:
+        pass
+    return [as_literal(value) for value in values]  # raises, naming it

@@ -199,7 +199,8 @@ def _random_routing_state(device, rng):
     for _ in range(rng.randint(0, len(dag) - 1)):
         frontier.execute(rng.choice(sorted(frontier.front)))
     inside = [e for e in device.edges if max(e) < len(mapping.backward)]
-    for _ in range(rng.randint(0, 6)):
+    # A few placed qubits low in the numbering may share no edge.
+    for _ in range(rng.randint(0, 6) if inside else 0):
         mapping.swap_physical(*rng.choice(inside))
     return dag, frontier, mapping
 

@@ -5,9 +5,14 @@ import os
 import stat
 import sys
 import textwrap
+import types
 
+import numpy as np
 import pytest
 
+from repro.arch import ring
+from repro.circuit import circuit_from_pairs
+from repro.qls import ExactSolver
 from repro.sat import (
     AUTO_ORDER,
     DimacsProcessBackend,
@@ -16,6 +21,42 @@ from repro.sat import (
     available_backends,
     get_backend,
 )
+from repro.sat.backend import PysatSession
+
+
+class _StubPysatSolver:
+    """Just enough of ``pysat.solvers.Solver`` to drive a session: every
+    call answers SAT, and the literals it is handed are recorded."""
+
+    def __init__(self, name):
+        self.clauses = []
+        self.assumptions = []
+
+    def add_clause(self, clause):
+        self.clauses.append(clause)
+
+    def solve(self, assumptions=()):
+        self.assumptions.append(assumptions)
+        return True
+
+    solve_limited = solve
+
+    def conf_budget(self, budget):
+        pass
+
+    def get_model(self):
+        return []
+
+
+@pytest.fixture
+def stub_pysat(monkeypatch):
+    """Make ``import pysat.solvers`` resolve to :class:`_StubPysatSolver`."""
+    solvers = types.ModuleType("pysat.solvers")
+    solvers.Solver = _StubPysatSolver
+    package = types.ModuleType("pysat")
+    package.solvers = solvers
+    monkeypatch.setitem(sys.modules, "pysat", package)
+    monkeypatch.setitem(sys.modules, "pysat.solvers", solvers)
 
 
 class TestPythonSession:
@@ -149,6 +190,20 @@ class TestDimacsProcessBackend:
         session = DimacsProcessBackend("stub", executable=exe).session(1, [[1]])
         assert session.solve() is SolverResult.UNKNOWN
 
+    def test_literals_validated_like_the_python_backend(self, tmp_path):
+        # Literal 0 would split a DIMACS line into an empty clause, and a
+        # float would reach the solver's parser: both raise up front.
+        backend = DimacsProcessBackend(
+            "stub", executable=_write_stub_solver(tmp_path, "sat"))
+        with pytest.raises(ValueError, match="literal 0"):
+            backend.session(2, [[1, 0]])
+        session = backend.session(2, [[1, 2]])
+        with pytest.raises(ValueError, match="literal 0"):
+            session.solve(assumptions=[0])
+        with pytest.raises(ValueError, match="literal 1.5"):
+            session.add_clause([1.5, 2])
+        assert session.stats()["calls"] == 0
+
     def test_missing_executable_unavailable(self):
         backend = DimacsProcessBackend("stub", executable="/nonexistent/sat")
         assert not backend.available()
@@ -171,3 +226,57 @@ class TestDimacsProcessBackend:
         assert session.model().value(2)
         session.add_clause([-2])
         assert session.solve() is SolverResult.UNSAT
+
+
+class TestPysatSession:
+    def test_literals_validated_like_the_python_backend(self, stub_pysat):
+        with pytest.raises(ValueError, match="literal 0"):
+            PysatSession(2, [[1, 0]], "stub")
+        session = PysatSession(2, [[1, 2]], "stub")
+        with pytest.raises(ValueError, match="literal 0"):
+            session.solve(assumptions=[0])
+        with pytest.raises(ValueError, match="literal 1.5"):
+            session.add_clause([1.5, 2])
+        assert session.stats()["calls"] == 0
+        # What does pass reaches python-sat as plain ints.
+        session.add_clause([np.int64(1), -2])
+        assert session.solve(assumptions=[np.int32(2)]) is SolverResult.SAT
+        assert session._solver.clauses == [[1, 2], [1, -2]]
+        assert session._solver.assumptions == [[2]]
+        assert type(session._solver.assumptions[0][0]) is int
+
+
+class TestZeroTimeBudget:
+    """``time_limit=0`` is a spent budget on every backend: UNKNOWN from a
+    session, ``timed_out`` from the exact solver — never "unlimited"."""
+
+    @pytest.fixture(params=["python", "pysat", "dimacs"])
+    def session(self, request, tmp_path):
+        clauses = [[1, 2], [-1, 2]]
+        if request.param == "python":
+            return PythonBackend().session(2, clauses)
+        if request.param == "pysat":
+            request.getfixturevalue("stub_pysat")
+            return PysatSession(2, clauses, "stub")
+        exe = _write_stub_solver(tmp_path, "sat")
+        return DimacsProcessBackend("stub", executable=exe).session(
+            2, clauses)
+
+    @pytest.mark.parametrize("time_limit", [0, 0.0])
+    def test_session_answers_unknown(self, session, time_limit):
+        assert session.solve(time_limit=time_limit) is SolverResult.UNKNOWN
+        assert session.model() is None
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"incremental": False}, {"workers": 2},
+    ])
+    def test_exact_solver_times_out(self, mode):
+        device = ring(4)
+        circuit = circuit_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
+        outcome = ExactSolver(max_swaps=3, time_limit=0, **mode).solve(
+            circuit, device)
+        assert outcome.timed_out
+        assert outcome.optimal_swaps is None and outcome.result is None
+        # Without the budget the same instance is solved outright.
+        solved = ExactSolver(max_swaps=3, **mode).solve(circuit, device)
+        assert solved.optimal_swaps is not None and not solved.timed_out

@@ -1,5 +1,6 @@
 """Tests for the named-variable CNF builder."""
 
+import numpy as np
 import pytest
 
 from repro.sat import CnfBuilder, SolverResult, solve_clauses
@@ -28,6 +29,21 @@ class TestVariables:
         b.var("a")
         assert b.has_var("a")
         assert not b.has_var("b")
+
+
+class TestLiteralValidation:
+    @pytest.mark.parametrize("bad", [0, 1.5, 2.0, "3"])
+    def test_bad_literal_raises_naming_it(self, bad):
+        b = CnfBuilder()
+        with pytest.raises(ValueError, match=f"literal {bad!r}"):
+            b.add([1, bad])
+        assert b.clauses == []
+
+    def test_numpy_integers_become_ints(self):
+        b = CnfBuilder()
+        b.add([np.int64(3), np.int16(-1)])
+        assert b.clauses == [[3, -1]]
+        assert all(type(l) is int for l in b.clauses[0])
 
 
 class TestCombinators:

@@ -3,7 +3,9 @@ equivalence fuzzing."""
 
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +132,48 @@ class TestAssumptions:
         assert solver.solve() is SolverResult.SAT
 
 
+class TestLiteralValidation:
+    """Clause and assumption literals are validated alike: 0 and
+    non-integers raise ``ValueError`` naming the literal; numpy ints pass."""
+
+    @pytest.mark.parametrize("bad, named", [
+        (0, "literal 0"), (1.5, "literal 1.5"), (2.0, "literal 2.0"),
+        ("3", "literal '3'"), (None, "literal None"),
+    ])
+    def test_bad_clause_literal_raises(self, bad, named):
+        solver = CdclSolver()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            solver.add_clause([1, bad])
+        assert solver.num_vars == 0 and not solver._clauses
+
+    @pytest.mark.parametrize("bad, named", [
+        (0, "literal 0"), (1.5, "literal 1.5"), (-0.5, "literal -0.5"),
+    ])
+    def test_bad_assumption_raises(self, bad, named):
+        solver = CdclSolver()
+        solver.add_clause([1, 2])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            solver.solve(assumptions=[bad])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            solver.solve(assumptions=(lit for lit in [1, bad]))
+        # The solver is untouched and still answers.
+        assert solver.solve() is SolverResult.SAT
+
+    def test_bad_literal_in_tautology_still_raises(self):
+        with pytest.raises(ValueError, match="literal 0"):
+            CdclSolver().add_clause([1, -1, 0])
+
+    def test_numpy_integers_pass(self):
+        solver = CdclSolver()
+        solver.add_clause([np.int64(1), np.int32(-2)])
+        solver.add_clause(np.array([2, 3]))
+        assert solver._clauses == [[2, 5], [4, 6]]  # packed 2v / 2v+1
+        assert all(type(l) is int for c in solver._clauses for l in c)
+        assert solver.solve(assumptions=[np.int64(-1)]) is SolverResult.SAT
+        model = solver.model()
+        assert not model.value(1) and not model.value(2) and model.value(3)
+
+
 class TestBudgets:
     def test_conflict_limit_returns_unknown(self):
         # A hard pigeonhole with a tiny conflict budget.
@@ -145,6 +189,14 @@ class TestBudgets:
                     clauses.append([-var(i1, j), -var(i2, j)])
         result, _ = solve_clauses(clauses, conflict_limit=10)
         assert result is SolverResult.UNKNOWN
+
+    @pytest.mark.parametrize("time_limit", [0, 0.0, -1.0])
+    def test_zero_time_limit_is_unknown(self, time_limit):
+        # A spent budget is UNKNOWN, not "unlimited", even on a formula
+        # the root level does not decide.
+        result, model = solve_clauses([[1, 2], [-1, 2]],
+                                      time_limit=time_limit)
+        assert result is SolverResult.UNKNOWN and model is None
 
 
 class TestFuzzing:
