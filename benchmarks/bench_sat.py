@@ -9,8 +9,10 @@ Checks (all on the pure-Python backend, so results are host-independent):
 * **Agreement** — fresh (seed-strategy), incremental, and 2-cube parallel
   search return the same ``optimal_swaps`` and the same machine-checked
   ``proven_lower_bound`` on every instance;
-* **Speedup** — the incremental sweep is >= 3x faster than the seed
-  strategy aggregated over the bench instance set;
+* **Work** — the seed strategy needs >= 3x the incremental sweep's
+  conflicts, summed over the bench instance set (a count, so the gate
+  does not drift with host or kernel speed; the wall-clock speedup is
+  recorded and printed, not gated);
 * **Frontier** — one instance the seed strategy cannot close within a
   per-call conflict budget that the incremental sweep solves to proven
   optimality under the same budget (a conflict count, not seconds, so
@@ -67,9 +69,11 @@ def _timed_solve(solver, circuit, device):
 
 
 def test_sat_smoke_incremental_vs_seed_strategy():
-    """Same answers, same proofs, >= 3x faster — then write the record."""
+    """Same answers, same proofs, >= 3x fewer conflicts — then write the
+    record."""
     rows = []
     fresh_total = incremental_total = 0.0
+    fresh_conflicts = incremental_conflicts = 0
     for arch, swaps, gates, seed in BENCH_INSTANCES:
         device, instance = _instance(arch, swaps, gates, seed)
         max_swaps = swaps + 2
@@ -89,6 +93,8 @@ def test_sat_smoke_incremental_vs_seed_strategy():
             [s["k"] for s in incr.solver_stats]
         fresh_total += fresh_s
         incremental_total += incr_s
+        fresh_conflicts += fresh.totals.get("conflicts", 0)
+        incremental_conflicts += incr.totals.get("conflicts", 0)
         rows.append({
             "arch": arch, "swaps": swaps, "gates": gates, "seed": seed,
             "optimal": incr.optimal_swaps,
@@ -96,12 +102,15 @@ def test_sat_smoke_incremental_vs_seed_strategy():
             "seed_strategy_seconds": round(fresh_s, 3),
             "incremental_seconds": round(incr_s, 3),
             "ratio": round(fresh_s / incr_s, 2),
+            "seed_strategy_conflicts": fresh.totals.get("conflicts", 0),
             "incremental_conflicts": incr.totals.get("conflicts", 0),
         })
     speedup = fresh_total / incremental_total
-    assert speedup >= 3.0, (
-        f"incremental sweep must be >=3x the seed strategy, got "
-        f"{speedup:.2f}x ({rows})"
+    conflict_ratio = fresh_conflicts / incremental_conflicts
+    assert conflict_ratio >= 3.0, (
+        f"the seed strategy must need >=3x the incremental sweep's "
+        f"conflicts, got {fresh_conflicts}/{incremental_conflicts} = "
+        f"{conflict_ratio:.2f}x ({rows})"
     )
 
     # -- cube-and-conquer agreement on the shared E1 smoke instance -------
@@ -150,6 +159,9 @@ def test_sat_smoke_incremental_vs_seed_strategy():
             "seed_strategy_seconds": round(fresh_total, 3),
             "incremental_seconds": round(incremental_total, 3),
             "speedup": round(speedup, 2),
+            "seed_strategy_conflicts": fresh_conflicts,
+            "incremental_conflicts": incremental_conflicts,
+            "conflict_ratio": round(conflict_ratio, 2),
         },
         "cube": {
             "instance": dict(zip(("arch", "swaps", "gates", "seed"),
@@ -192,6 +204,8 @@ def test_sat_smoke_incremental_vs_seed_strategy():
               f"{row['ratio']:>6.1f}x")
     print(f"{'aggregate':<22}{fresh_total:>13.2f}s"
           f"{incremental_total:>12.2f}s{speedup:>6.1f}x")
+    print(f"conflicts: seed strategy {fresh_conflicts:,}, incremental "
+          f"{incremental_conflicts:,} ({conflict_ratio:.2f}x)")
     print(f"frontier {FRONTIER[0]}/{FRONTIER[1]}sw: seed strategy UNKNOWN "
           f"within {FRONTIER_CONFLICTS} conflicts per call; incremental "
           f"optimal={closed.optimal_swaps} in {closed_s:.2f}s")

@@ -48,9 +48,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--sat-smoke", action="store_true", default=False,
         help="run only the exact-SAT search check (incremental vs seed "
-             "strategy agreement + speedup, cube-and-conquer, frontier "
-             "instance -> BENCH_sat.json); every heavy benchmark is "
-             "skipped",
+             "strategy agreement + conflict ratio, cube-and-conquer, "
+             "frontier instance -> BENCH_sat.json); every heavy "
+             "benchmark is skipped",
     )
     parser.addoption(
         "--obs-smoke", action="store_true", default=False,

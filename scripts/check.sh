@@ -16,7 +16,7 @@
 # connection reset, SIGKILL + journal recovery (--chaos-smoke,
 # refreshing BENCH_chaos.json), and the exact-SAT search contract —
 # incremental/cube sweeps matching the seed strategy's optima and lower
-# bounds with a measured speedup (--sat-smoke, refreshing
+# bounds with >= 3x fewer conflicts (--sat-smoke, refreshing
 # BENCH_sat.json), and the observability contract — a served batch with
 # tracing + metrics armed whose /v1/metrics scrape parses and whose
 # span tree reconstructs (--obs-smoke, refreshing BENCH_obs.json).

@@ -39,47 +39,23 @@ Pass ``pool=`` to share one :class:`~repro.parallel.WorkerPool` across
 several ``evaluate`` calls (e.g. the four Figure-4 panels); the pool is
 then left running for the caller to shut down.
 
-Service-routed evaluation
--------------------------
-``evaluate(..., service=)`` delegates compilation to a compilation
-service when every tool can be expressed as a service request — a
-:class:`~repro.pipeline.tool.PipelineTool` whose pipeline was built from
-a spec string (``tool.request_spec()`` returns its ``(spec, seed)``).
-The harness builds one :class:`~repro.service.api.CompileRequest` per
-(tool, instance) pair — instance-major, tool-minor, pinned mapping in
-``router_only`` mode — and resolves the whole grid through
-``service.submit_many`` (cache-first, in-batch dedup, misses fanned over
-the service's pool).  Because a :class:`~repro.service.client.
-ServiceClient` mirrors that exact surface, the *same call* evaluates
-against a remote server: ``evaluate(..., service=ServiceClient(url))``
-produces records key-identical to the in-process serial run (validation
-still replays every returned circuit in the parent, so bit-identity
-keeps being *proved*, not assumed).  ``workers``/``pool`` are forwarded
-to the service as batch fan-out hints.
-
-Tools that cannot be expressed as requests (arbitrary ``QLSTool``
-instances) fall back to the local cache-first path below, using the
-service's own cache; with a cache-less remote client that is an error —
-a remote server cannot run an opaque local tool object.  An explicitly
-passed ``cache=`` always wins: the run stays local and cache-first
-against that store, and service routing never engages.
-
-Result caching
---------------
-``evaluate(..., cache=ResultCache(...))`` (or the ``service=`` fallback
-above, whose cache is used) makes the harness cache-first: each (tool,
-instance, router_only) pair is keyed by a content-addressed fingerprint
-— tool configuration, circuit gate stream, coupling graph, pinned
-mapping, code epoch — and a hit reconstructs the stored result instead
-of re-running the tool, so a rerun of an already-evaluated suite pays
-only cache lookups (plus validation, which always replays the — cached —
-circuit and therefore keeps proving bit-identity).  Hit records carry
-``cache_hit=True`` and the *original* compute cost in
-``runtime_seconds``; ``result_key`` is unchanged, so cached and
-recomputed runs compare record-identical.  In parallel mode hits are
-resolved in the parent and only misses ship to the pool; results are
-stored from the parent as they land.
-
+Cached and service-routed evaluation
+------------------------------------
+``evaluate(..., service=)`` sends the grid to a compilation service (an
+in-process :class:`~repro.service.service.CompilationService` or a
+remote :class:`~repro.service.client.ServiceClient`) as one
+``submit_many`` batch with one request per pair, instance-major,
+tool-minor, pinned in ``router_only`` mode.
+``cache=C`` means an in-process ``CompilationService(cache=C)`` and wins
+over ``service=``.  Pairs are keyed by the service's one cache key, so a
+cache directory is shared with ``serve --cache-dir``.  Every tool must
+be spec-built (``tool.request_spec()`` gives its ``(spec, seed)``); any
+other tool raises ``ValueError``.  A batch that raises is resubmitted
+pair by pair, so a failing compile is recorded ``valid=False`` like a
+failing ``tool.run``; only an unreachable remote server aborts the run.
+Hits carry ``cache_hit=True`` and the original compile time in
+``runtime_seconds``, and validation replays every returned circuit, so
+cached, remote and plain runs stay ``result_key``-identical.
 
 Timing: ``RunRecord.runtime_seconds`` measures **only** ``tool.run()``;
 the :func:`repro.qls.validate.validate_transpiled` replay is timed
@@ -92,9 +68,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from functools import lru_cache, partial
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..arch.coupling import CouplingGraph
 from ..arch.library import get_architecture
@@ -102,15 +78,10 @@ from ..parallel import WorkerPool, borrow_pool, map_ordered
 from ..qls.base import QLSTool
 from ..qls.validate import validate_transpiled
 from ..qubikos.instance import QubikosInstance
-from ..service.api import CompileRequest
+from ..service.api import CompileRequest, CompileResponse
 from ..service.cache import ResultCache
-from ..service.fingerprint import (
-    circuit_fingerprint,
-    coupling_fingerprint,
-    pair_fingerprint,
-    tool_fingerprint,
-)
-from ..service.service import ENTRY_DECODE_ERRORS, decode_entry, make_entry
+from ..service.client import RemoteServiceError
+from ..service.service import CompilationService
 
 
 @dataclass
@@ -237,54 +208,45 @@ class EvaluationRun:
         return [r for r in self.records if r.cache_hit]
 
 
-def _fetch_decoded(cache: ResultCache, key: str) -> Optional[Tuple]:
-    """Guarded cache fetch: decoded ``(result, compile_seconds)`` or
-    ``None`` — undecodable (stale/poisoned) entries are reported back via
-    :meth:`ResultCache.note_stale` and treated as misses, so the
-    recomputation that follows heals the store."""
-    entry = cache.get(key)
-    if entry is None:
-        return None
-    try:
-        return decode_entry(entry)
-    except ENTRY_DECODE_ERRORS:
-        cache.note_stale(key)
-        return None
+def _unreachable(exc: BaseException) -> bool:
+    """True for a remote service that stayed unreachable through its
+    retries: no pair can be measured, so the run aborts."""
+    return isinstance(exc, RemoteServiceError) and exc.status is None
 
 
 def _measure_pair(tool: QLSTool, instance: QubikosInstance,
                   coupling: CouplingGraph, router_only: bool,
                   validate: bool,
-                  cached: Optional[Tuple] = None,
-                  capture: bool = False,
-                  hit: Optional[bool] = None,
-                  ) -> Tuple[RunRecord, Optional[Dict]]:
-    """Run one (tool, instance) pair; build its record (+ cache payload).
+                  submit: Optional[Callable[[], CompileResponse]] = None,
+                  ) -> RunRecord:
+    """Run one (tool, instance) pair and build its record.
 
     The single measurement routine shared by the serial loop, the pool
-    workers, and the parent-side pool-sharing path, so every mode times and
-    validates identically.  ``cached`` — a decoded ``(result,
-    compile_seconds)`` from :func:`_fetch_decoded` — replaces the
-    ``tool.run`` call with the stored result (a cache hit; validation,
-    when enabled, still replays it).  ``capture`` asks for the serialized
-    cache payload of a successful fresh run, which the caller stores.
-    ``hit`` overrides the recorded ``cache_hit`` flag — the service-routed
-    path supplies precomputed results that may themselves be fresh misses.
+    workers, the parent-side pool-sharing path and the service path, so
+    every mode times and validates identically.  ``submit`` replaces the
+    ``tool.run`` call with a compilation service's response for the pair;
+    what it raises is recorded like a failing ``tool.run``, except an
+    unreachable remote server, which propagates.
     """
     pinned = instance.mapping() if router_only else None
     error = None
     trials_per_second = None
     validation_seconds = 0.0
-    cache_hit = hit if hit is not None else cached is not None
+    cache_hit = False
     start = time.perf_counter()
     try:
-        if cached is not None:
-            result, elapsed = cached
+        if submit is not None:
+            response = submit()
+            result = response.result
+            elapsed = response.compile_seconds
+            cache_hit = response.cache_hit
         else:
             result = tool.run(instance.circuit, coupling,
                               initial_mapping=pinned)
             elapsed = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - harness isolates tools
+        if _unreachable(exc):
+            raise
         elapsed = time.perf_counter() - start
         observed = -1
         ok = False
@@ -319,7 +281,7 @@ def _measure_pair(tool: QLSTool, instance: QubikosInstance,
                     error = report.error
             finally:
                 validation_seconds = time.perf_counter() - validation_start
-    record = RunRecord(
+    return RunRecord(
         tool=tool.name,
         instance=instance.name,
         architecture=instance.architecture,
@@ -334,10 +296,6 @@ def _measure_pair(tool: QLSTool, instance: QubikosInstance,
         validation_seconds=validation_seconds,
         cache_hit=cache_hit,
     )
-    payload = None
-    if capture and ok and not cache_hit:
-        payload = make_entry(result, elapsed)
-    return record, payload
 
 
 @lru_cache(maxsize=None)
@@ -353,44 +311,11 @@ def _cached_architecture(name: str) -> CouplingGraph:
 
 
 def _evaluate_pair_task(tool: QLSTool, instance: QubikosInstance,
-                        router_only: bool, validate: bool,
-                        capture: bool = False,
-                        ) -> Tuple[RunRecord, Optional[Dict]]:
+                        router_only: bool, validate: bool) -> RunRecord:
     """Pool-worker entry point for one (tool, instance) pair."""
     return _measure_pair(tool, instance,
                          _cached_architecture(instance.architecture),
-                         router_only, validate, capture=capture)
-
-
-class _PairKeyer:
-    """Content-addressed cache keys for the (tool, instance) grid.
-
-    Memoises the per-instance circuit fingerprint and the per-architecture
-    coupling fingerprint, so a grid of I instances x T tools hashes each
-    circuit once rather than T times (instances are keyed by identity —
-    the caller holds the instance list alive for the whole run).
-    """
-
-    def __init__(self, tool_fps: Sequence[str], router_only: bool) -> None:
-        self.tool_fps = tool_fps
-        self.router_only = router_only
-        self._circuit_fps: Dict[int, str] = {}
-        self._coupling_fps: Dict[str, str] = {}
-
-    def key(self, t: int, instance: QubikosInstance,
-            coupling: CouplingGraph) -> str:
-        circuit_fp = self._circuit_fps.get(id(instance))
-        if circuit_fp is None:
-            circuit_fp = circuit_fingerprint(instance.circuit)
-            self._circuit_fps[id(instance)] = circuit_fp
-        coupling_fp = self._coupling_fps.get(instance.architecture)
-        if coupling_fp is None:
-            coupling_fp = coupling_fingerprint(coupling)
-            self._coupling_fps[instance.architecture] = coupling_fp
-        return pair_fingerprint(
-            self.tool_fps[t], circuit_fp, coupling_fp,
-            instance.mapping() if self.router_only else None,
-        )
+                         router_only, validate)
 
 
 def evaluate(tools: Sequence[QLSTool], instances: Iterable[QubikosInstance],
@@ -414,45 +339,27 @@ def evaluate(tools: Sequence[QLSTool], instances: Iterable[QubikosInstance],
     :class:`~repro.parallel.WorkerPool` across several ``evaluate`` calls.
 
     ``service`` (a :class:`~repro.service.service.CompilationService` or a
-    remote :class:`~repro.service.client.ServiceClient`) routes the whole
-    grid through ``service.submit_many`` when every tool is expressible as
-    a service request (see "Service-routed evaluation" above); otherwise
-    ``cache`` (a :class:`~repro.service.cache.ResultCache`, or the
-    service's own cache) makes the run cache-first: pairs already
-    evaluated — in this process or, with a directory-backed cache, any
-    previous one — are served from the store instead of re-run (see
-    "Result caching" above).
+    remote :class:`~repro.service.client.ServiceClient`) resolves the grid
+    through ``service.submit_many``; ``cache`` (a
+    :class:`~repro.service.cache.ResultCache`) does the same through an
+    in-process ``CompilationService(cache=cache)``, so pairs already
+    compiled — in this process or, with a directory-backed cache, any
+    previous one — are served from the store.  Both need spec-built tools
+    (see "Cached and service-routed evaluation" above).
     """
     tools = list(tools)
     instances = list(instances)
-    if service is not None and cache is None:
-        # An explicitly passed cache= keeps its long-standing meaning —
-        # a local cache-first run against that store — so service
-        # routing only engages when the caller left cache unset.
-        specs = [_tool_request_spec(tool) for tool in tools]
-        if all(spec is not None for spec in specs):
-            return _evaluate_service(tools, specs, instances, router_only,
-                                     validate, progress, service,
-                                     workers, pool)
-        cache = getattr(service, "cache", None)
-        if cache is None:
-            opaque = [tool.name for tool, spec in zip(tools, specs)
-                      if spec is None]
-            raise ValueError(
-                f"service-routed evaluation needs spec-built tools "
-                f"(PipelineTool over build_pipeline); {opaque} cannot be "
-                "expressed as compile requests and the service has no "
-                "local cache to fall back on"
-            )
-    keyer = (_PairKeyer([tool_fingerprint(tool) for tool in tools],
-                        router_only)
-             if cache is not None else None)
+    if cache is not None:
+        service = CompilationService(cache=cache)
+    if service is not None:
+        return _evaluate_service(tools, instances, router_only, validate,
+                                 progress, service, workers, pool)
     with borrow_pool(pool, workers) as pool:
         if pool is None:
             return _evaluate_serial(tools, instances, router_only, validate,
-                                    progress, cache, keyer)
+                                    progress)
         return _evaluate_parallel(tools, instances, router_only, validate,
-                                  progress, pool, cache, keyer)
+                                  progress, pool)
 
 
 def _tool_request_spec(tool: QLSTool) -> Optional[Tuple[str, Optional[int]]]:
@@ -466,7 +373,6 @@ def _tool_request_spec(tool: QLSTool) -> Optional[Tuple[str, Optional[int]]]:
 
 
 def _evaluate_service(tools: Sequence[QLSTool],
-                      specs: Sequence[Tuple[str, Optional[int]]],
                       instances: Sequence[QubikosInstance],
                       router_only: bool, validate: bool,
                       progress: Optional[Callable[[RunRecord], None]],
@@ -475,82 +381,65 @@ def _evaluate_service(tools: Sequence[QLSTool],
                       pool: Optional[WorkerPool]) -> EvaluationRun:
     """Resolve the (tool, instance) grid through a compilation service.
 
-    One request per pair, instance-major tool-minor — the serial double
-    loop's order — resolved in a single ``submit_many`` batch (so the
-    service's cache-first/dedup/fan-out contract applies across the whole
-    grid).  Records are assembled from the request-ordered responses;
-    validation replays every returned circuit in the parent, exactly as
-    the in-process paths do, so a remote run keeps proving bit-identity
-    rather than trusting the wire.
+    One request per pair, in the serial double loop's order, resolved in
+    a single ``submit_many`` batch so the service's cache-first/dedup/
+    fan-out contract applies across the whole grid.  A batch that raises
+    is resolved again pair by pair with ``service.submit``, so one failing
+    compile costs only its own record.  Validation replays every returned
+    circuit in the parent, exactly as the in-process paths do.
     """
-    requests = []
-    for instance in instances:
-        pinned = instance.mapping() if router_only else None
-        for spec, seed in specs:
-            requests.append(CompileRequest(
-                circuit=instance.circuit,
-                device=instance.architecture,
-                spec=spec,
-                seed=seed,
-                initial_mapping=pinned,
-                instance=instance.name,
-            ))
-    responses = service.submit_many(requests, workers=workers, pool=pool)
-    if len(responses) != len(requests):
+    specs = [_tool_request_spec(tool) for tool in tools]
+    opaque = [tool.name for tool, spec in zip(tools, specs) if spec is None]
+    if opaque:
+        raise ValueError(
+            f"cached and service-routed evaluation needs spec-built tools "
+            f"(PipelineTool over build_pipeline); {opaque} cannot be "
+            "expressed as compile requests"
+        )
+    pairs = [(instance, tool) for instance in instances for tool in tools]
+    requests = [CompileRequest.from_instance(instance, spec=spec, seed=seed,
+                                             router_only=router_only)
+                for instance in instances for spec, seed in specs]
+    try:
+        responses = service.submit_many(requests, workers=workers, pool=pool)
+    except Exception as exc:  # noqa: BLE001 - resolved pair by pair below
+        if _unreachable(exc):
+            raise
+        responses = None
+    if responses is not None and len(responses) != len(requests):
         raise ValueError(
             f"service returned {len(responses)} responses for "
             f"{len(requests)} requests"
         )
+
+    def respond(index: int) -> CompileResponse:
+        if responses is None:
+            return service.submit(requests[index])
+        return responses[index]
+
     run = EvaluationRun()
-    index = 0
-    for instance in instances:
-        coupling = _cached_architecture(instance.architecture)
-        for tool in tools:
-            response = responses[index]
-            index += 1
-            record, _ = _measure_pair(
-                tool, instance, coupling, router_only, validate,
-                cached=(response.result, response.compile_seconds),
-                hit=response.cache_hit,
-            )
-            run.records.append(record)
-            if progress is not None:
-                progress(record)
+    for index, (instance, tool) in enumerate(pairs):
+        record = _measure_pair(
+            tool, instance, _cached_architecture(instance.architecture),
+            router_only, validate, submit=partial(respond, index),
+        )
+        run.records.append(record)
+        if progress is not None:
+            progress(record)
     return run
-
-
-def _measure_cached(tool: QLSTool, t: int, instance: QubikosInstance,
-                    router_only: bool, validate: bool,
-                    cache: Optional[ResultCache],
-                    keyer: Optional[_PairKeyer]) -> RunRecord:
-    """Measure one pair in this process, cache-first: a hit replays the
-    stored result, a fresh run is stored."""
-    coupling = _cached_architecture(instance.architecture)
-    key = decoded = None
-    if cache is not None:
-        key = keyer.key(t, instance, coupling)
-        decoded = _fetch_decoded(cache, key)
-    record, payload = _measure_pair(tool, instance, coupling, router_only,
-                                    validate, cached=decoded,
-                                    capture=cache is not None)
-    if payload is not None:
-        cache.put(key, payload)
-    return record
 
 
 def _evaluate_serial(tools: Sequence[QLSTool],
                      instances: Sequence[QubikosInstance],
                      router_only: bool, validate: bool,
                      progress: Optional[Callable[[RunRecord], None]],
-                     cache: Optional[ResultCache] = None,
-                     keyer: Optional[_PairKeyer] = None,
                      ) -> EvaluationRun:
     """The reference double loop: instance-major, tool-minor."""
     run = EvaluationRun()
     for instance in instances:
-        for t, tool in enumerate(tools):
-            record = _measure_cached(tool, t, instance, router_only,
-                                     validate, cache, keyer)
+        for tool in tools:
+            record = _evaluate_pair_task(tool, instance, router_only,
+                                         validate)
             run.records.append(record)
             if progress is not None:
                 progress(record)
@@ -562,16 +451,12 @@ def _evaluate_parallel(tools: Sequence[QLSTool],
                        router_only: bool, validate: bool,
                        progress: Optional[Callable[[RunRecord], None]],
                        pool: WorkerPool,
-                       cache: Optional[ResultCache] = None,
-                       keyer: Optional[_PairKeyer] = None,
                        ) -> EvaluationRun:
     """Fan the (tool, instance) grid over ``pool``.
 
     Pair index ``i * len(tools) + t`` pins each record's position to the
     slot the serial double loop would fill, so the assembled record list is
-    order-identical no matter how the pool schedules the work.  With a
-    cache, hits are resolved in the parent and only misses are queued;
-    miss payloads are stored from the parent as they land.
+    order-identical no matter how the pool schedules the work.
     """
     slots: List[Optional[RunRecord]] = [None] * (len(instances) * len(tools))
 
@@ -585,58 +470,32 @@ def _evaluate_parallel(tools: Sequence[QLSTool],
     # recorded runtime_seconds / trials_per_second measure trial compute,
     # not time spent queueing behind a backlog of other tools' pairs —
     # keeping the runtime-quality metrics comparable with serial runs.
-    plain_pairs: List[Tuple[int, int, QLSTool, QubikosInstance]] = []
+    plain_pairs: List[Tuple[int, QLSTool, QubikosInstance]] = []
     for i, instance in enumerate(instances):
         for t, tool in enumerate(tools):
             index = i * len(tools) + t
             if not getattr(tool, "supports_shared_pool", False) \
                     or getattr(tool, "trials", 1) <= 1:
-                plain_pairs.append((index, t, tool, instance))
+                plain_pairs.append((index, tool, instance))
                 continue
             previous = getattr(tool, "pool", None)
             tool.pool = pool
             try:
-                finish(index, _measure_cached(tool, t, instance, router_only,
-                                              validate, cache, keyer))
+                finish(index, _evaluate_pair_task(tool, instance,
+                                                  router_only, validate))
             finally:
                 tool.pool = previous
 
-    # Then fan the plain pairs out; each miss runs whole inside one worker.
-    misses: List[Tuple[int, Optional[str]]] = []
+    def land(task: int, record: RunRecord) -> None:
+        finish(plain_pairs[task][0], record)
 
-    def tasks() -> Iterator[Tuple]:
-        hits = []
-        for index, t, tool, instance in plain_pairs:
-            key = decoded = None
-            if cache is not None:
-                key = keyer.key(t, instance,
-                                _cached_architecture(instance.architecture))
-                # a poisoned entry is a miss, overwritten when it lands
-                decoded = _fetch_decoded(cache, key)
-            if decoded is not None:
-                hits.append((index, tool, instance, decoded))
-                continue
-            misses.append((index, key))
-            yield (tool, instance, router_only, validate, cache is not None)
-        # Every miss is queued: replay and validate the hits in the parent
-        # while the pool computes.
-        for index, tool, instance, decoded in hits:
-            record, _ = _measure_pair(
-                tool, instance, _cached_architecture(instance.architecture),
-                router_only, validate, cached=decoded,
-            )
-            finish(index, record)
-
-    def land(task: int, measured: Tuple[RunRecord, Optional[Dict]]) -> None:
-        index, key = misses[task]
-        record, payload = measured
-        if payload is not None:
-            cache.put(key, payload)
-        finish(index, record)
-
+    # Then fan the plain pairs out; each runs whole inside one worker.
     # Tool exceptions are caught inside _measure_pair, so a pair the pool
     # fails failed in transport — a dead pool, or a tool that cannot cross
     # the process boundary — and map_ordered re-runs it in the parent,
     # where the serial error isolation applies.
-    map_ordered(pool, _evaluate_pair_task, tasks(), on_result=land)
+    map_ordered(pool, _evaluate_pair_task,
+                ((tool, instance, router_only, validate)
+                 for _, tool, instance in plain_pairs),
+                on_result=land)
     return EvaluationRun([record for record in slots if record is not None])

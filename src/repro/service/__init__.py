@@ -69,7 +69,6 @@ from .fingerprint import (
     coupling_fingerprint,
     normalize_spec,
     request_fingerprint,
-    tool_fingerprint,
 )
 from .jobs import (
     JOB_SCHEMA_VERSION,
@@ -125,5 +124,4 @@ __all__ = [
     "normalize_spec",
     "request_fingerprint",
     "serve",
-    "tool_fingerprint",
 ]

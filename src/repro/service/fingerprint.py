@@ -109,84 +109,3 @@ def request_fingerprint(circuit: QuantumCircuit, coupling: CouplingGraph,
         ),
     }))
 
-
-# -- tool fingerprints (the evaluate() cache path) ---------------------------
-
-#: Attributes never part of a tool's deterministic configuration.
-_SKIP_ATTRS = frozenset({"pool"})
-
-_MAX_DEPTH = 10
-
-
-def _state(obj: object, depth: int = 0) -> object:
-    """JSON-able structural snapshot of a tool's configuration.
-
-    Walks public attributes recursively (params dataclasses, nested
-    pipelines and passes), special-casing the repo's value types.  Private
-    (underscore) attributes, ``pool`` handles, and callables are excluded:
-    they are runtime plumbing, not configuration.
-    """
-    if depth > _MAX_DEPTH:
-        return repr(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_state(item, depth + 1) for item in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(repr(item) for item in obj)
-    if isinstance(obj, dict):
-        return {str(key): _state(value, depth + 1)
-                for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, QuantumCircuit):
-        return ["circuit", circuit_fingerprint(obj)]
-    if isinstance(obj, Mapping):
-        return ["mapping", [list(pair) for pair in obj.to_pairs()]]
-    if isinstance(obj, CouplingGraph):
-        return ["coupling", coupling_fingerprint(obj)]
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        return [type(obj).__name__, {
-            key: _state(value, depth + 1)
-            for key, value in sorted(attrs.items())
-            if key not in _SKIP_ATTRS and not key.startswith("_")
-            and not callable(value)
-        }]
-    return repr(obj)
-
-
-def pair_fingerprint(tool_fp: str, circuit_fp: str, coupling_fp: str,
-                     initial_mapping: Optional[Mapping] = None) -> str:
-    """Cache key of one ``evaluate()`` (tool, instance) pair.
-
-    Mirrors :func:`request_fingerprint` with a tool fingerprint in place
-    of a (spec, seed): the harness caches results for arbitrary tool
-    instances, not just spec-built pipelines.  Takes pre-computed
-    circuit/coupling fingerprints so callers iterating a grid hash each
-    circuit once, not once per tool.
-    """
-    return _digest(canonical_json({
-        "kind": "evaluate-pair",
-        "code": code_fingerprint(),
-        "tool": tool_fp,
-        "circuit": circuit_fp,
-        "coupling": coupling_fp,
-        "initial_mapping": (
-            [list(pair) for pair in initial_mapping.to_pairs()]
-            if initial_mapping is not None else None
-        ),
-    }))
-
-
-def tool_fingerprint(tool: object) -> str:
-    """Content hash of a tool's *configuration* (class + public state).
-
-    Lets ``evaluate(..., cache=...)`` key results on arbitrary
-    :class:`~repro.qls.base.QLSTool` instances — including
-    :class:`~repro.pipeline.tool.PipelineTool` chains — without requiring
-    them to have been built from a spec string.
-    """
-    return _digest(canonical_json({
-        "kind": "tool",
-        "code": code_fingerprint(),
-        "state": _state(tool),
-    }))

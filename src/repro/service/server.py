@@ -250,6 +250,9 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceServer = None  # bound by ServiceServer via subclassing
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # Headers and body go out as two writes; with Nagle on, a keep-alive
+    # client's next request waits on the delayed ACK (~40 ms) each time.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 

@@ -47,9 +47,8 @@ from .api import CompileRequest, CompileResponse, make_provenance
 from .cache import ResultCache
 from .fingerprint import canonical_json
 
-#: Version of the cache-entry payload produced by compilation (and by the
-#: ``evaluate()`` cache path, which stores the same shape via
-#: :func:`make_entry`).  Checked by :func:`decode_entry` on every read.
+#: Version of the cache-entry payload produced by compilation.  Checked
+#: by :func:`decode_entry` on every read.
 COMPILE_ENTRY_VERSION = 1
 
 ProgressFn = Callable[[CompileResponse], None]

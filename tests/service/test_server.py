@@ -405,6 +405,31 @@ class TestErrorBodies:
         finally:
             connection.close()
 
+    def test_keepalive_requests_do_not_stall(self, server, requests):
+        """Warm hits over one keep-alive connection answer promptly: the
+        response's two writes must not wait on a delayed ACK."""
+        import http.client
+        import statistics
+        import time
+
+        body = canonical_json(encode_requests(requests[:1]))
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=30)
+        elapsed = []
+        try:
+            for _ in range(21):  # the first request warms the cache
+                start = time.perf_counter()
+                connection.request("POST", "/v1/compile", body=body,
+                                   headers={"Content-Type":
+                                            "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(elapsed[1:]) < 0.020, elapsed
+
 
 class TestRemoteEvaluation:
     """evaluate(..., service=ServiceClient(url)): the swap-in contract."""

@@ -165,7 +165,7 @@ class TestPoisonedEntryRecovery:
         assert stats.hits == before  # the raw lookup hit was reclassified
 
     def test_evaluate_recomputes_instead_of_false_failure(self, instances):
-        tools = [SabreLayout(seed=3)]
+        tools = [PipelineTool(build_pipeline("sabre", seed=3))]
         cache = ResultCache()
         cold = evaluate(tools, instances, cache=cache)
         poisoned_key = cache.keys()[0]
@@ -293,7 +293,7 @@ class TestEvaluateIntegration:
     """evaluate(..., cache=/service=) only pays for cache misses."""
 
     def test_warm_rerun_is_all_hits_and_record_identical(self, instances):
-        tools = [SabreLayout(seed=3),
+        tools = [PipelineTool(build_pipeline("sabre", seed=3)),
                  PipelineTool(build_pipeline("tketlike", seed=13))]
         cache = ResultCache()
         cold = evaluate(tools, instances, cache=cache)
@@ -307,13 +307,13 @@ class TestEvaluateIntegration:
 
     def test_service_param_uses_the_service_cache(self, instances):
         service = CompilationService()
-        tools = [SabreLayout(seed=3)]
+        tools = [PipelineTool(build_pipeline("sabre", seed=3))]
         evaluate(tools, instances, service=service)
         warm = evaluate(tools, instances, service=service)
         assert all(r.cache_hit for r in warm.records)
 
     def test_router_only_mode_keys_separately(self, instances):
-        tools = [SabreLayout(seed=3)]
+        tools = [PipelineTool(build_pipeline("sabre", seed=3))]
         cache = ResultCache()
         evaluate(tools, instances, cache=cache)
         pinned = evaluate(tools, instances, router_only=True, cache=cache)
@@ -326,12 +326,14 @@ class TestEvaluateIntegration:
 
     def test_tool_configuration_keys_separately(self, instances):
         cache = ResultCache()
-        evaluate([SabreLayout(seed=3)], instances, cache=cache)
-        other_seed = evaluate([SabreLayout(seed=4)], instances, cache=cache)
+        evaluate([PipelineTool(build_pipeline("sabre", seed=3))], instances,
+                 cache=cache)
+        other_seed = evaluate([PipelineTool(build_pipeline("sabre", seed=4))],
+                              instances, cache=cache)
         assert not any(r.cache_hit for r in other_seed.records)
 
     def test_parallel_cache_matches_serial(self, instances):
-        tools = [SabreLayout(seed=3)]
+        tools = [PipelineTool(build_pipeline("sabre", seed=3))]
         cache = ResultCache()
         cold = evaluate(tools, instances, workers=2, cache=cache)
         warm = evaluate(tools, instances, workers=2, cache=cache)
@@ -341,3 +343,104 @@ class TestEvaluateIntegration:
             [r.result_key() for r in plain.records]
         assert [r.result_key() for r in warm.records] == \
             [r.result_key() for r in plain.records]
+
+
+class TestEvaluateSharesTheServiceKey:
+    """A cached evaluate() run and the compilation service key pairs
+    alike: each warms the other's cache."""
+
+    SPECS = (("sabre", 3), ("tketlike", 13))
+
+    def _tools(self):
+        return [PipelineTool(build_pipeline(spec, seed=seed))
+                for spec, seed in self.SPECS]
+
+    def _requests(self, instances, router_only=False):
+        return [CompileRequest.from_instance(instance, spec=spec, seed=seed,
+                                             router_only=router_only)
+                for instance in instances for spec, seed in self.SPECS]
+
+    def test_evaluate_warms_the_service(self, instances):
+        cache = ResultCache()
+        run = evaluate(self._tools(), instances, cache=cache)
+        service = CompilationService(cache=cache)
+        for record, request in zip(run.records, self._requests(instances)):
+            response = service.submit(request)
+            assert response.cache_hit
+            fresh = CompilationService().submit(request).result
+            assert response.result.circuit == fresh.circuit
+            assert response.result.initial_mapping == fresh.initial_mapping
+            assert response.result.swap_count == fresh.swap_count \
+                == record.observed_swaps
+
+    @pytest.mark.parametrize("router_only", [False, True])
+    def test_service_warms_evaluate(self, instances, router_only):
+        cache = ResultCache()
+        CompilationService(cache=cache).submit_many(
+            self._requests(instances, router_only))
+        warm = evaluate(self._tools(), instances, router_only=router_only,
+                        cache=cache)
+        plain = evaluate(self._tools(), instances, router_only=router_only)
+        assert all(r.cache_hit for r in warm.records)
+        assert [r.result_key() for r in warm.records] == \
+            [r.result_key() for r in plain.records]
+
+    def test_opaque_tool_is_refused_and_nothing_is_stored(self, instances):
+        cache = ResultCache()
+        tools = [PipelineTool(build_pipeline("sabre", seed=3)),
+                 SabreLayout(seed=3)]
+        with pytest.raises(ValueError, match="spec-built.*sabre"):
+            evaluate(tools, instances, cache=cache)
+        assert len(cache) == 0
+
+
+class TestEvaluateFailingPair:
+    """One failing compile costs its own record, never the whole grid."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, instances):
+        # exact:max_swaps=1 cannot route a two-SWAP instance: it raises
+        tools = [PipelineTool(build_pipeline("exact:max_swaps=1")),
+                 PipelineTool(build_pipeline("sabre", seed=3))]
+        return tools, instances[:2]
+
+    def test_every_route_records_the_failure_alike(self, grid):
+        tools, instances = grid
+        plain = evaluate(tools, instances)
+        keys = [r.result_key() for r in plain.records]
+        assert [r.valid for r in plain.records] == [False, True] * 2
+        assert all("exhausted its budget" in r.error
+                   for r in plain.records[::2])
+        runs = [
+            evaluate(tools, instances, cache=ResultCache()),
+            evaluate(tools, instances, service=CompilationService()),
+            evaluate(tools, instances, service=CompilationService(),
+                     workers=2),
+        ]
+        for run in runs:
+            assert [r.result_key() for r in run.records] == keys
+
+    def test_remote_failure_is_recorded_per_pair(self, grid):
+        from repro.service import ServiceClient, ServiceServer
+
+        tools, instances = grid
+        with ServiceServer(CompilationService()) as server:
+            run = evaluate(tools, instances,
+                           service=ServiceClient(server.url))
+        assert [r.valid for r in run.records] == [False, True] * 2
+        assert all(r.error.startswith("RemoteServiceError")
+                   for r in run.records[::2])
+
+    def test_unreachable_server_aborts_the_run(self, grid):
+        import socket
+
+        from repro.service import RemoteServiceError, ServiceClient
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        tools, instances = grid
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            evaluate(tools[1:], instances, service=client)
+        assert excinfo.value.status is None
