@@ -1,6 +1,6 @@
 """End-to-end chaos smoke check (run with ``--chaos-smoke``).
 
-Four fault-injected serving scenarios, each asserting that recovery is
+Five fault-injected serving scenarios, each asserting that recovery is
 **bit-identical** to the clean run — the fault-tolerance acceptance
 contract of the robustness layer::
 
@@ -16,21 +16,26 @@ Scenarios:
   the original circuit exactly;
 * **connection reset** — ``http.request:reset`` drops a live connection
   cold; a ``RetryPolicy`` client retries and succeeds;
+* **connection cap** — with every connection slot held by idle kept-alive
+  connections, a new client is refused with ``503`` + ``Retry-After``,
+  backs off, and succeeds once a slot frees;
 * **SIGKILL mid-queue** — a real ``python -m repro.service serve``
   subprocess with ``--journal`` is SIGKILLed while a job hangs (an
   injected ``jobs.execute`` delay); the restarted server recovers the
   job from the journal and completes it, with already-cached
   fingerprints served as hits, never recompiled.
 
-Counters (respawns, retries, quarantines, recovered jobs) land in
-``BENCH_chaos.json`` at the repo root.
+Counters (respawns, retries, quarantines, refusals, recovered jobs) land
+in ``BENCH_chaos.json`` at the repo root.
 """
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -135,6 +140,34 @@ def test_chaos_smoke_connection_reset_retry():
     print_banner("chaos-smoke — connection resets")
     print(f"  2 resets injected: {client.retry_count} retries, "
           "bit-identical result")
+
+
+def test_chaos_smoke_connection_cap_refusal(monkeypatch):
+    from repro.service import server as server_module
+
+    (request,) = _smoke_requests(1)
+    reference = CompilationService().submit(request)
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    with ServiceServer(CompilationService(cache=ResultCache())) as server:
+        hogs = [http.client.HTTPConnection(server.host, server.port,
+                                           timeout=30) for _ in range(2)]
+        for hog in hogs:  # both slots held by idle kept-alive connections
+            hog.request("GET", "/v1/healthz")
+            hog.getresponse().read()
+        threading.Timer(0.3, hogs[0].close).start()
+        client = ServiceClient(server.url,
+                               retry=RetryPolicy(seed=31, base_seconds=0.01))
+        response = client.submit(request)
+        counts = server.connection_counts()
+        hogs[1].close()
+    assert counts["refused"] >= 1 and client.retry_count >= 1
+    assert response.result.circuit == reference.result.circuit
+    assert response.result.swap_count == reference.result.swap_count
+    RESULTS["connection_cap"] = {"refused": counts["refused"],
+                                 "retries": client.retry_count}
+    print_banner("chaos-smoke — connection cap")
+    print(f"  2 slots held: {counts['refused']} refusal(s), "
+          f"{client.retry_count} retries, bit-identical result")
 
 
 def _spawn_serve(tmp_path, *extra, env_faults=None):

@@ -19,7 +19,9 @@ Checks:
   at submit time, never queued);
 * a **warm hit's raw body** — spliced by the server from the verified
   result text it stored — is byte-identical to the canonical JSON of its
-  decoded response (single and batch).
+  decoded response (single and batch);
+* every ``ServiceClient`` call above rides **one kept-alive
+  connection**: the server accepts exactly one connection for them.
 """
 
 import json
@@ -112,6 +114,8 @@ def test_server_smoke_sync_async_warm(tmp_path):
         assert warm_job["status"] == "done"  # terminal at submission
         assert all(response.cache_hit
                    for response in client.job_responses(warm_job))
+        assert server.connection_counts()["accepted"] == 1
+
 
         # -- warm hit bytes: the splice equals the canonical encoding -------
         single = _raw_compile(server.url, requests[0].to_dict())
@@ -129,6 +133,8 @@ def test_server_smoke_sync_async_warm(tmp_path):
         assert cache_info["disk_entries"] == len(set(
             response.request_fingerprint for response in cold
         ))
+        # the two raw POSTs opened their own; the client kept its one
+        assert server.connection_counts()["accepted"] == 3
 
     payload = {
         "suite": {
@@ -141,6 +147,7 @@ def test_server_smoke_sync_async_warm(tmp_path):
             "warm_sync_seconds": warm_seconds,
             "warm_hit_rate": 1.0,
             "speedup": cold_seconds / warm_seconds,
+            "client_connections": 1,
         },
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -5,6 +5,11 @@ qubits.  It is deliberately minimal — the layout-synthesis pipeline needs the
 gate *sequence* (for dependency analysis) and nothing else — but supports the
 editing operations the QUBIKOS generator uses: append, insert, compose,
 qubit remapping, and filtered views of the two-qubit skeleton.
+
+A circuit decoded by :meth:`QuantumCircuit.from_dict` keeps its validated
+``(name, qubits, params)`` rows and builds its :class:`Gate` objects only
+when something first reads them: ``len`` and ``to_dict`` (and so every
+fingerprint) work from the rows, which is all a served cache hit needs.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gates import Gate, GateError
+from .gates import Gate, GateError, check_gate
 
 
 class CircuitError(ValueError):
@@ -34,8 +39,21 @@ class QuantumCircuit:
 
     # -- basic container protocol ------------------------------------------
 
+    def __getattr__(self, name: str) -> object:
+        # Reached only for attributes missing from the instance: the
+        # ``_gates`` of a ``from_dict`` circuit, built from its rows on
+        # first read (the rows go, so every later edit sees one list).
+        rows = self.__dict__.get("_rows")
+        if name != "_gates" or rows is None:
+            raise AttributeError(name)
+        gates = [Gate(*row) for row in rows]
+        self._gates = gates
+        del self._rows
+        return gates
+
     def __len__(self) -> int:
-        return len(self._gates)
+        rows = self.__dict__.get("_rows")
+        return len(rows if rows is not None else self._gates)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self._gates)
@@ -65,8 +83,8 @@ class QuantumCircuit:
 
     def _extend_checked(self, gates: Iterable[Gate]) -> None:
         """Range-check and append ``gates`` in one loop (the bulk path
-        behind the constructor, ``extend`` and ``from_dict``); same
-        errors, in the same order, as one ``append`` per gate."""
+        behind the constructor and ``extend``); same errors, in the same
+        order, as one ``append`` per gate."""
         num_qubits = self.num_qubits
         push = self._gates.append
         for gate in gates:
@@ -167,26 +185,45 @@ class QuantumCircuit:
         writer this covers *every* gate name, and float parameters survive
         the JSON round trip exactly (shortest-repr floats).
         """
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = [(g.name, g.qubits, g.params) for g in self._gates]
         return {
             "num_qubits": self.num_qubits,
             "name": self.name,
             "gates": [
-                [g.name, list(g.qubits)] if not g.params
-                else [g.name, list(g.qubits), list(g.params)]
-                for g in self._gates
+                [name, list(qubits)] if not params
+                else [name, list(qubits), list(params)]
+                for name, qubits, params in rows
             ],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "QuantumCircuit":
-        """Inverse of :meth:`to_dict`."""
-        gates = (
-            Gate(entry[0], tuple(entry[1]),
-                 tuple(entry[2]) if len(entry) > 2 else ())
-            for entry in payload["gates"]
-        )
-        return cls(payload["num_qubits"], gates,
-                   name=payload.get("name", "circuit"))
+        """Inverse of :meth:`to_dict`.
+
+        Each row is checked exactly as ``Gate(...)`` plus the range check
+        would check it (same errors, same order) and kept as a
+        ``(name, qubits, params)`` tuple; no :class:`Gate` is built until
+        the gates are first read.
+        """
+        entries = iter(payload["gates"])  # checked before num_qubits
+        circuit = cls(payload["num_qubits"],
+                      name=payload.get("name", "circuit"))
+        num_qubits = circuit.num_qubits
+        rows = []
+        push = rows.append
+        for entry in entries:
+            name = entry[0]
+            qubits = tuple(entry[1])
+            params = tuple(entry[2]) if len(entry) > 2 else ()
+            check_gate(name, qubits, params)
+            if max(qubits) >= num_qubits:
+                raise circuit._range_error(Gate(name, qubits, params))
+            push((name, qubits, params))
+        del circuit._gates
+        circuit._rows = rows
+        return circuit
 
     def without_single_qubit_gates(self) -> "QuantumCircuit":
         """Projection onto the two-qubit skeleton analysed by QLS."""

@@ -36,6 +36,36 @@ class GateError(ValueError):
     """Raised when a gate is constructed with inconsistent data."""
 
 
+def check_gate(name: str, qubits: Tuple[int, ...],
+               params: Tuple[float, ...]) -> None:
+    """Raise :class:`GateError` unless ``(name, qubits, params)`` is a
+    valid gate: at least one qubit, no repeats, none negative, and the
+    parameter count its name expects — checked in that order.
+
+    The one copy of the rules: :class:`Gate` runs it on construction and
+    :meth:`QuantumCircuit.from_dict` on every decoded row, so both raise
+    the same errors.  Two-qubit gates take a fast branch.
+    """
+    if not qubits:
+        raise GateError(f"gate {name!r} must act on at least one qubit")
+    if len(qubits) == 2:
+        a, b = qubits
+        if a == b:
+            raise GateError(f"gate {name!r} has repeated qubits {qubits}")
+        if a < 0 or b < 0:
+            raise GateError(f"gate {name!r} has negative qubit index {qubits}")
+    else:
+        if len(set(qubits)) != len(qubits):
+            raise GateError(f"gate {name!r} has repeated qubits {qubits}")
+        if any(q < 0 for q in qubits):
+            raise GateError(f"gate {name!r} has negative qubit index {qubits}")
+    expected = GATE_PARAM_COUNTS.get(name)
+    if expected is not None and len(params) != expected:
+        raise GateError(
+            f"gate {name!r} expects {expected} parameter(s), got {len(params)}"
+        )
+
+
 @dataclass(frozen=True, init=False)
 class Gate:
     """An immutable gate application.
@@ -57,33 +87,12 @@ class Gate:
 
     def __init__(self, name: str, qubits: Tuple[int, ...],
                  params: Tuple[float, ...] = ()) -> None:
-        # Every gate is built here (routers, the generator, request and
-        # response decode), so this replaces the slower dataclass
-        # __init__ + __post_init__ pair: the same checks in the same order,
-        # a fast branch for two-qubit gates, and values stored as given
-        # straight into __dict__ (the class stays frozen, hashable,
-        # picklable and ``dataclasses.replace``-able).
-        if not qubits:
-            raise GateError(f"gate {name!r} must act on at least one qubit")
-        if len(qubits) == 2:
-            a, b = qubits
-            if a == b:
-                raise GateError(f"gate {name!r} has repeated qubits {qubits}")
-            if a < 0 or b < 0:
-                raise GateError(
-                    f"gate {name!r} has negative qubit index {qubits}")
-        else:
-            if len(set(qubits)) != len(qubits):
-                raise GateError(f"gate {name!r} has repeated qubits {qubits}")
-            if any(q < 0 for q in qubits):
-                raise GateError(
-                    f"gate {name!r} has negative qubit index {qubits}")
-        expected = GATE_PARAM_COUNTS.get(name)
-        if expected is not None and len(params) != expected:
-            raise GateError(
-                f"gate {name!r} expects {expected} parameter(s), "
-                f"got {len(params)}"
-            )
+        # Every gate is built here (routers, the generator, decoded
+        # circuits on first read), so this replaces the slower dataclass __init__ +
+        # __post_init__ pair: values are stored as given straight into
+        # __dict__ (the class stays frozen, hashable, picklable and
+        # ``dataclasses.replace``-able).
+        check_gate(name, qubits, params)
         fields = self.__dict__
         fields["name"] = name
         fields["qubits"] = qubits

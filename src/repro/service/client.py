@@ -42,7 +42,18 @@ duplicating side effects:
 * A server ``Retry-After`` header (the 503 load-shedding contract)
   overrides the computed delay for that attempt.
 
-Stdlib only (:mod:`urllib.request`) — a client import must never pull in
+Connections
+-----------
+Each thread keeps one HTTP/1.1 connection to the server
+(:mod:`http.client`) and reuses it across calls, so a warm hit costs one
+round trip on an open socket rather than a TCP handshake plus a fresh
+server handler thread.  Before reuse the socket is polled: one the server
+has closed (idle timeout, restart) is replaced before anything is sent.
+A drop *during* a call is a transport failure like any other and goes
+through the retry rules above, so a non-idempotent call is never sent
+twice.  Connections never cross a fork and are not pickled.
+
+Stdlib only (:mod:`http.client`) — a client import must never pull in
 more than the schema modules.
 """
 
@@ -50,12 +61,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from urllib.parse import urlsplit
 
 from .. import faults
 from .api import (
@@ -154,8 +167,41 @@ class ServiceClient:
         #: chaos tests assert the recovery actually exercised a retry).
         self.retry_count = 0
         self._rng = retry.rng() if retry is not None else None
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        self._connection_class = (_HTTPSConnection if parts.scheme == "https"
+                                  else _HTTPConnection)
+        self._address = (parts.hostname, parts.port)
+        self._prefix = parts.path
+        self._local = threading.local()
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_local"]  # sockets stay with the process that opened them
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's kept-alive connection, replaced first when it was
+        opened by another process (a fork) or the server has closed it."""
+        local = self._local
+        connection = getattr(local, "connection", None)
+        if connection is not None and local.pid != os.getpid():
+            connection = None  # the parent's socket: never touch it
+        elif connection is not None and _closed_by_peer(connection):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = self._connection_class(*self._address,
+                                                timeout=self.timeout)
+            local.connection, local.pid = connection, os.getpid()
+        return connection
 
     @staticmethod
     def _idempotent(method: str, path: str) -> bool:
@@ -208,26 +254,24 @@ class ServiceClient:
                         f"cannot reach service at {self.url}: "
                         "connection reset [injected fault]"
                     )
-        request = urllib.request.Request(self.url + path, data=data,
-                                         method=method, headers=headers)
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                body = response.read()
-        except urllib.error.HTTPError as exc:
-            raise RemoteServiceError(self._error_message(exc),
-                                     status=exc.code,
-                                     retry_after=self._retry_after(exc)) \
-                from exc
+            connection.request(method, self._prefix + path, body=data,
+                               headers=headers)
+            response = connection.getresponse()
+            body = response.read()
         except (OSError, http.client.HTTPException) as exc:
-            # URLError (connection refused, DNS) carries .reason; a mid-
-            # response drop (RemoteDisconnected, ConnectionResetError)
-            # escapes urllib unwrapped — both are the same transport
-            # failure to a caller.
-            reason = getattr(exc, "reason", None) or exc
+            # Refused, timed out, or dropped mid-call (RemoteDisconnected,
+            # ConnectionResetError): the socket cannot be reused.
+            connection.close()
             raise RemoteServiceError(
-                f"cannot reach service at {self.url}: {reason}"
+                f"cannot reach service at {self.url}: {exc}"
             ) from exc
+        if not 200 <= response.status < 300:
+            raise RemoteServiceError(
+                self._error_message(response.status, response.reason, body),
+                status=response.status,
+                retry_after=self._retry_after(response))
         try:
             return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -236,22 +280,21 @@ class ServiceClient:
             ) from exc
 
     @staticmethod
-    def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:
+    def _retry_after(response: http.client.HTTPResponse) -> Optional[float]:
         """The server's ``Retry-After`` seconds, when parseable."""
-        value = exc.headers.get("Retry-After") if exc.headers else None
+        value = response.getheader("Retry-After")
         try:
             return float(value) if value is not None else None
         except ValueError:
             return None
 
     @staticmethod
-    def _error_message(exc: urllib.error.HTTPError) -> str:
+    def _error_message(status: int, reason: str, body: bytes) -> str:
         """The server's canonical ``error`` field, or a plain fallback."""
         try:
-            payload = json.loads(exc.read().decode("utf-8"))
-            return str(payload["error"])
+            return str(json.loads(body.decode("utf-8"))["error"])
         except Exception:  # noqa: BLE001 - any malformed error body
-            return f"HTTP {exc.code}: {exc.reason}"
+            return f"HTTP {status}: {reason}"
 
     # -- synchronous compilation (CompilationService mirror) -------------------
 
@@ -382,3 +425,44 @@ class ServiceClient:
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.url!r})"
+
+
+class _OneWrite:
+    """Connection mixin: each request (header block and body) goes out in
+    one write.  ``http.client`` writes the two separately, and the first
+    write wakes the server only for it to wait for the second."""
+
+    _pending: Optional[List[bytes]] = None
+
+    def endheaders(self, message_body=None, *, encode_chunked=False) -> None:
+        self._pending = []
+        try:
+            super().endheaders(message_body, encode_chunked=encode_chunked)
+            data = b"".join(self._pending)
+        finally:
+            self._pending = None
+        super().send(data)
+
+    def send(self, data) -> None:
+        if self._pending is None:
+            super().send(data)
+        else:
+            self._pending.append(bytes(data))
+
+
+class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
+    pass
+
+
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """True when an idle kept-alive socket is readable or in error: the
+    server sent EOF (or a reset), since it never speaks unasked."""
+    if connection.sock is None:
+        return False  # closed locally; http.client reconnects on use
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN | select.POLLPRI)
+    return bool(poller.poll(0))

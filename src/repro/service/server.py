@@ -37,8 +37,9 @@ and the bytes equal ``canonical_json`` of the response's ``to_dict()``.
 Every error response carries the canonical body of
 :func:`repro.service.api.error_payload` — a JSON object with ``status``
 and ``error`` — so remote callers get machine-readable failures, never
-HTML.  Requests are handled on per-connection threads
-(``ThreadingHTTPServer``); the service's :class:`ResultCache` is
+HTML.  Each response (headers and body) goes out in one send.  Requests
+are handled on per-connection threads (``ThreadingHTTPServer``) over
+HTTP/1.1 keep-alive connections; the service's :class:`ResultCache` is
 thread-safe and compilation itself is pure, so concurrent sync compiles,
 the job executor, and introspection endpoints coexist safely.
 
@@ -58,12 +59,23 @@ Robustness contract
   is read, and the connection is closed.
 * **Bounded reads** — every socket read waits at most
   :data:`READ_TIMEOUT_SECONDS`: a client that stalls before finishing its
-  headers has its connection closed, one that stalls mid-body gets a
-  ``408`` and then a close, and either way its handler thread is freed.
+  headers (or an idle kept-alive connection) has its connection closed,
+  one that stalls mid-body gets a ``408`` and then a close, and either
+  way its handler thread is freed.
+* **Bounded connections** — at most :data:`MAX_CONNECTIONS` connections
+  (one handler thread each) are open at once.  A connection beyond that
+  is answered ``503`` with ``Retry-After`` and ``Connection: close`` by
+  the accept loop itself, without a thread.
+* **Bounded client ids** — the first :data:`MAX_CLIENT_IDS` distinct
+  ``X-Client-Id`` values get their own entry in the ``/v1/healthz``
+  rollup and their own ``client`` metric label; every later id counts
+  under ``"other"``.  First come rather than most active: a Prometheus
+  counter cannot move its past counts to another label.
 * **Draining shutdown** — :meth:`ServiceServer.shutdown` stops the
-  accept loop, lets the running job finish (``drain=True``), and returns
-  ``False`` (after a logged warning naming the stuck job) instead of
-  silently leaking threads.
+  accept loop, closes idle kept-alive connections (one mid-request
+  finishes its response first), lets the running job finish
+  (``drain=True``), and returns ``False`` (after a logged warning naming
+  what is stuck) instead of silently leaking threads.
 * **Fault injection** — each inbound request is an ``http.request``
   site: an armed :class:`repro.faults.FaultPlan` can drop the connection
   cold (``reset``) or stretch it (``delay``) to exercise client retries.
@@ -108,10 +120,24 @@ BAD_REQUEST_ERRORS = (ServiceError, QLSError, KeyError, TypeError,
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Longest one socket read may wait, in seconds (see "Bounded reads"
-#: above).  Every client in this package opens a connection per request
-#: and sends it whole, so only a stalled or hostile peer ever waits this
-#: long.
+#: above).  Every client in this package sends each request whole, so
+#: only an idle kept-alive connection or a stalled or hostile peer ever
+#: waits this long.
 READ_TIMEOUT_SECONDS = 30.0
+
+#: Most connections open at once (see "Bounded connections" above).
+#: :class:`~repro.service.client.ServiceClient` holds one per thread.
+MAX_CONNECTIONS = 64
+
+#: Longest the accept loop spends on one refused connection, in seconds:
+#: it reads and discards what the client sent until the client closes,
+#: so the refusal is not lost to a reset.
+REFUSAL_LINGER_SECONDS = 1.0
+
+#: Distinct ``X-Client-Id`` values tracked one by one (see "Bounded
+#: client ids" above); the rest share :data:`OTHER_CLIENTS`.
+MAX_CLIENT_IDS = 64
+OTHER_CLIENTS = "other"
 
 #: Request header bounding one ``POST /v1/compile`` wall-clock budget.
 DEADLINE_HEADER = "X-Deadline-Seconds"
@@ -148,6 +174,89 @@ class _BodyTooLarge(Exception):
     """Internal: a ``Content-Length`` above :data:`MAX_BODY_BYTES`."""
 
 
+class _ConnectionServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that tracks its open connections, refuses
+    those beyond :data:`MAX_CONNECTIONS`, and can close them all."""
+
+    def __init__(self, address, handler) -> None:
+        self._connections_lock = threading.Lock()
+        self._connections: Dict[socket.socket, threading.Thread] = {}  # guarded-by: _connections_lock
+        self.accepted = 0  # guarded-by: _connections_lock
+        self.refused = 0  # guarded-by: _connections_lock
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the accept loop: one connection at a time.
+        with self._connections_lock:
+            self.accepted += 1
+            full = len(self._connections) >= MAX_CONNECTIONS
+            if full:
+                self.refused += 1
+            else:
+                thread = threading.Thread(
+                    target=self.process_request_thread,
+                    args=(request, client_address), daemon=True)
+                self._connections[request] = thread
+        if full:
+            self._refuse(request)
+        else:
+            thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def connection_counts(self) -> Dict[str, int]:
+        with self._connections_lock:
+            return {"open": len(self._connections), "accepted": self.accepted,
+                    "refused": self.refused, "max": MAX_CONNECTIONS}
+
+    @staticmethod
+    def _refuse(request: socket.socket) -> None:
+        """Answer a connection over the cap with a 503 and close it."""
+        body = encode_json(error_payload(
+            f"server at its {MAX_CONNECTIONS}-connection limit; retry "
+            "later", 503)).encode("utf-8")
+        head = ("HTTP/1.1 503 Service Unavailable\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Retry-After: 1\r\n"
+                "Connection: close\r\n\r\n").encode("ascii")
+        deadline = time.monotonic() + REFUSAL_LINGER_SECONDS
+        try:
+            request.settimeout(REFUSAL_LINGER_SECONDS)
+            request.sendall(head + body)
+            request.shutdown(socket.SHUT_WR)
+            # Closing with unread request bytes would send a reset that
+            # can destroy the 503 before the client reads it.
+            while (remaining := deadline - time.monotonic()) > 0:
+                request.settimeout(remaining)
+                if not request.recv(65536):
+                    break
+        except OSError:
+            pass
+        finally:
+            request.close()
+
+    def close_connections(self, timeout: float) -> bool:
+        """End every open connection once its current response is out;
+        ``True`` when all their threads finished within ``timeout``."""
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for request, _ in connections:
+            try:
+                # The handler's next read sees EOF: an idle one returns at
+                # once, a busy one after writing its response.
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        deadline = time.monotonic() + timeout
+        for _, thread in connections:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for _, thread in connections)
+
+
 class ServiceServer:
     """The long-running serving front-end: HTTP + jobs over one service.
 
@@ -175,23 +284,36 @@ class ServiceServer:
         self._clients_lock = threading.Lock()
         self._client_stats: Dict[str, Dict[str, int]] = {}  # guarded-by: _clients_lock
         handler = type("_BoundHandler", (_Handler,), {"app": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _ConnectionServer((host, port), handler)
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
 
     def note_client(self, client: str, endpoint: str) -> None:
         """Record one request from ``client`` (the ``X-Client-Id``
-        header) against ``endpoint`` — kept server-side so per-client
-        rollups work even with metrics disarmed."""
+        header) against ``endpoint``, in the server-side rollup (so it
+        works with metrics disarmed) and the ``client`` metric label.
+        Beyond :data:`MAX_CLIENT_IDS` ids, new ones count as
+        :data:`OTHER_CLIENTS`."""
         with self._clients_lock:
-            stats = self._client_stats.setdefault(client, {})
+            stats = self._client_stats.get(client)
+            if stats is None:
+                if len(self._client_stats) >= MAX_CLIENT_IDS:
+                    client = OTHER_CLIENTS
+                stats = self._client_stats.setdefault(client, {})
             stats[endpoint] = stats.get(endpoint, 0) + 1
+            if obs_metrics._ACTIVE is not None:  # in step with the rollup
+                obs_metrics.HTTP_REQUESTS_BY_CLIENT.inc(client=client)
 
     def client_stats(self) -> Dict[str, Dict[str, int]]:
         """``{client id: {endpoint: request count}}`` rollup."""
         with self._clients_lock:
             return {client: dict(stats)
                     for client, stats in self._client_stats.items()}
+
+    def connection_counts(self) -> Dict[str, int]:
+        """Connections ``open`` now, ``accepted`` and ``refused`` over
+        the server's life, and the ``max`` open at once."""
+        return self._httpd.connection_counts()
 
     @property
     def url(self) -> str:
@@ -212,17 +334,25 @@ class ServiceServer:
         return self
 
     def shutdown(self, drain: bool = True, timeout: float = 10.0) -> bool:
-        """Stop the accept loop and the job executor.
+        """Stop the accept loop, the open connections and the job
+        executor.
 
-        ``drain=True`` (the default) waits for a job mid-compile to
-        finish before returning — queued jobs never run, but with a
-        journal attached they survive to the next start-up.  Returns
-        ``True`` for a clean stop; ``False`` (after a logged warning)
-        when the HTTP thread or the job executor had to be leaked.
+        Idle kept-alive connections close at once; one mid-request
+        closes after its response.  ``drain=True`` (the default) waits
+        for a job mid-compile to finish before returning — queued jobs
+        never run, but with a journal attached they survive to the next
+        start-up.  Returns ``True`` for a clean stop; ``False`` (after a
+        logged warning) when the HTTP thread, a connection thread or the
+        job executor had to be leaked.
         """
         self._httpd.shutdown()
         self._httpd.server_close()
-        clean = True
+        clean = self._httpd.close_connections(timeout)
+        if not clean:
+            logger.warning(
+                "ServiceServer.shutdown: a connection was still mid-request "
+                "after %.0fs; its thread leaked", timeout,
+            )
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             if self._thread.is_alive():
@@ -250,8 +380,8 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceServer = None  # bound by ServiceServer via subclassing
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
-    # Headers and body go out as two writes; with Nagle on, a keep-alive
-    # client's next request waits on the delayed ACK (~40 ms) each time.
+    # A response's last segment must not wait on the client's delayed
+    # ACK of the one before (~40 ms per keep-alive request).
     disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
@@ -267,28 +397,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, payload: object, status: int = 200,
                    headers: Optional[Dict[str, str]] = None) -> None:
-        self._drain_body()
-        body = encode_json(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        self._status = status
+        self._send_body(encode_json(payload), status, "application/json",
+                        headers)
 
-    def _send_text(self, text: str, status: int = 200,
-                   content_type: str = "text/plain; version=0.0.4; "
-                                       "charset=utf-8") -> None:
+    def _send_text(self, text: str, status: int = 200) -> None:
         """Plain-text response (the Prometheus exposition endpoint)."""
+        self._send_body(text, status,
+                        "text/plain; version=0.0.4; charset=utf-8")
+
+    def _send_body(self, text: str, status: int, content_type: str,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        """Write the whole response — status line, headers and body — in
+        one send."""
         self._drain_body()
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        # end_headers() would send the header block on its own (and an
+        # HTTP/0.9 request gets no header block at all).
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + body if head else body)
         self._status = status
 
     def _drain_body(self) -> None:
@@ -441,8 +573,6 @@ class _Handler(BaseHTTPRequestHandler):
                                       status=status)
         obs_metrics.HTTP_REQUEST_SECONDS.observe(
             time.perf_counter() - started, method=method, endpoint=endpoint)
-        if client:
-            obs_metrics.HTTP_REQUESTS_BY_CLIENT.inc(client=client)
 
     def _route(self, method: str, path: str) -> bool:
         app = self.app
@@ -465,6 +595,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "corrupt_lines": journal.corrupt_lines,
                 } if journal is not None else None),
                 "clients": app.client_stats(),
+                "connections": app.connection_counts(),
                 "metrics": obs_metrics._ACTIVE is not None,
             })
         elif (method, path) == ("GET", "/v1/metrics"):
@@ -587,4 +718,4 @@ def serve(service: Optional[CompilationService] = None,
 
 
 __all__ = ["ServiceServer", "serve", "BAD_REQUEST_ERRORS", "MAX_BODY_BYTES",
-           "READ_TIMEOUT_SECONDS"]
+           "READ_TIMEOUT_SECONDS", "MAX_CONNECTIONS", "MAX_CLIENT_IDS"]

@@ -239,3 +239,58 @@ class TestWaitJobBackoff:
                             max_poll_seconds=0.1)
         gaps = [b[2] - a[2] for a, b in zip(handler.log, handler.log[1:])]
         assert all(gap < 0.3 for gap in gaps)  # capped, with scheduling slack
+
+
+class TestKeptConnection:
+    """One connection per client thread, replaced when the server has
+    dropped it, never by resending a call."""
+
+    @staticmethod
+    def _wait_dropped(server):
+        deadline = time.monotonic() + 10
+        while server.connection_counts()["open"]:
+            assert time.monotonic() < deadline, "idle connection kept"
+            time.sleep(0.01)
+
+    def test_calls_share_one_connection(self, request_one):
+        with ServiceServer(CompilationService(cache=ResultCache())) as server:
+            client = ServiceClient(server.url, timeout=30)
+            client.submit(request_one)
+            client.submit(request_one)
+            client.healthz()
+            job = client.wait_job(client.submit_job([request_one])["id"])
+            assert job["status"] == "done"
+            assert server.connection_counts()["accepted"] == 1
+
+    def test_idle_drop_reconnects_before_sending(self, request_one,
+                                                 monkeypatch):
+        """The server closes an idle kept connection (its read timeout);
+        the next ``submit`` and ``submit_job`` each go out once on a new
+        connection — no retry policy needed, one job created."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.2)
+        with ServiceServer(CompilationService(cache=ResultCache())) as server:
+            client = ServiceClient(server.url, timeout=30)
+            client.submit(request_one)
+            self._wait_dropped(server)
+            assert client.submit(request_one).cache_hit
+            self._wait_dropped(server)
+            job = client.submit_job([request_one])
+            assert job["status"] == "done"  # cache-first admission
+            assert len(server.jobs.jobs()) == 1
+            assert server.connection_counts()["accepted"] == 3
+            assert client.retry_count == 0
+
+    def test_pickled_and_threaded_clients_open_their_own(self, request_one):
+        import pickle
+
+        with ServiceServer(CompilationService(cache=ResultCache())) as server:
+            client = ServiceClient(server.url, timeout=30)
+            client.healthz()
+            clone = pickle.loads(pickle.dumps(client))
+            clone.healthz()
+            worker = threading.Thread(target=client.healthz)
+            worker.start()
+            worker.join()
+            assert server.connection_counts()["accepted"] == 3

@@ -430,6 +430,147 @@ class TestErrorBodies:
             connection.close()
         assert statistics.median(elapsed[1:]) < 0.020, elapsed
 
+    def test_client_hits_with_large_body_do_not_stall(self, server, grid33):
+        """ServiceClient hits over its kept-alive connection answer
+        promptly even when the request body is above 3 KB, where the
+        header and body sends could wait on a delayed ACK."""
+        import statistics
+        import time
+
+        request = CompileRequest.from_instance(
+            generate(grid33, num_swaps=2, num_two_qubit_gates=300, seed=88),
+            spec="sabre", seed=5)
+        assert len(request.canonical_json()) > 3 * 1024
+        client = ServiceClient(server.url)
+        elapsed = []
+        for _ in range(21):  # the first request warms the cache
+            start = time.perf_counter()
+            client.submit(request)
+            elapsed.append(time.perf_counter() - start)
+        assert statistics.median(elapsed[1:]) < 0.020, elapsed
+
+
+class TestConnectionBounds:
+    """Open connections are capped, refusals are a defined 503, and a
+    stopped server keeps no connection or thread."""
+
+    @staticmethod
+    def _get(connection, path="/v1/healthz"):
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response, json.loads(response.read())
+
+    @staticmethod
+    def _wait_open(server, count):
+        import time
+
+        deadline = time.monotonic() + 10
+        while server.connection_counts()["open"] != count:
+            assert time.monotonic() < deadline, server.connection_counts()
+            time.sleep(0.01)
+
+    def test_connection_over_the_cap_gets_503_and_a_close(self, monkeypatch):
+        import http.client
+
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+        with ServiceServer(CompilationService()) as fresh:
+            kept = [http.client.HTTPConnection(fresh.host, fresh.port,
+                                               timeout=10)
+                    for _ in range(3)]
+            try:
+                for connection in kept[:2]:
+                    assert self._get(connection)[0].status == 200
+                response, body = self._get(kept[2])
+                assert response.status == body["status"] == 503
+                assert body["type"] == "ServiceError"
+                assert "2-connection limit" in body["error"]
+                assert response.getheader("Retry-After") == "1"
+                assert response.getheader("Connection") == "close"
+                assert fresh.connection_counts() == {
+                    "open": 2, "accepted": 3, "refused": 1, "max": 2}
+                # a freed slot is usable again
+                kept[0].close()
+                self._wait_open(fresh, 1)
+                fresh_connection = http.client.HTTPConnection(
+                    fresh.host, fresh.port, timeout=10)
+                kept.append(fresh_connection)
+                assert self._get(fresh_connection)[0].status == 200
+            finally:
+                for connection in kept:
+                    connection.close()
+
+    def test_shutdown_closes_idle_kept_connections(self, requests):
+        import threading
+
+        before = threading.active_count()
+        fresh = ServiceServer(CompilationService()).start()
+        clients = [ServiceClient(fresh.url) for _ in range(3)]
+        for client in clients:
+            client.submit(requests[0])
+        assert fresh.connection_counts()["open"] == 3
+        assert fresh.shutdown(timeout=10) is True
+        assert fresh.connection_counts()["open"] == 0
+        assert threading.active_count() <= before
+
+    def test_client_ids_beyond_the_cap_share_one_bucket(self):
+        import time
+
+        from repro.obs import metrics as obs_metrics
+        from repro.service.server import MAX_CLIENT_IDS, OTHER_CLIENTS
+
+        def settled(server, client, endpoint):
+            # requests are accounted just after their response goes out
+            deadline = time.monotonic() + 10
+            while endpoint not in server.client_stats().get(client, {}):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        with obs_metrics.enabled():
+            with ServiceServer(CompilationService()) as fresh:
+                ServiceClient(fresh.url, client_id="first").healthz()
+                settled(fresh, "first", "/v1/healthz")
+                for index in range(10_000):
+                    fresh.note_client(f"id-{index}", "/v1/compile")
+                ServiceClient(fresh.url, client_id="late").healthz()
+                settled(fresh, OTHER_CLIENTS, "/v1/healthz")
+                stats = fresh.client_stats()
+                with urllib.request.urlopen(fresh.url + "/v1/metrics",
+                                            timeout=30) as response:
+                    text = response.read().decode("utf-8")
+        assert len(stats) == MAX_CLIENT_IDS + 1
+        assert stats["first"] == {"/v1/healthz": 1}
+        assert stats[OTHER_CLIENTS] == {
+            "/v1/compile": 10_001 - MAX_CLIENT_IDS, "/v1/healthz": 1}
+        series = [line for line in text.splitlines()
+                  if line.startswith("repro_http_requests_by_client_total{")]
+        assert len(series) == MAX_CLIENT_IDS + 1
+        assert sum(float(line.rsplit(" ", 1)[1]) for line in series) == 10_002
+
+
+class TestWarmHitBuildsNoGates:
+    def test_served_hit_decodes_rows_on_both_sides(self, server, client,
+                                                   requests, monkeypatch):
+        """A warm hit fingerprints the request from its rows and the
+        client reads the response without building a Gate."""
+        from repro.circuit import Gate
+
+        client.submit(requests[0])  # warm
+        built = []
+        original = Gate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Gate, "__init__", counting)
+        response = client.submit(requests[0])
+        assert response.cache_hit
+        assert response.result.to_dict()["swap_count"] == \
+            response.result.swap_count
+        assert built == []
+
 
 class TestRemoteEvaluation:
     """evaluate(..., service=ServiceClient(url)): the swap-in contract."""
