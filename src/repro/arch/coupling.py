@@ -45,6 +45,8 @@ class CouplingGraph:
         self._dist: Optional[np.ndarray] = None
         self._dist_rows: Optional[List[List[int]]] = None
         self._diameter: Optional[int] = None
+        #: Content digest, cached by ``repro.service.fingerprint``.
+        self._fingerprint: Optional[str] = None
 
     def _build_adjacency(self) -> List[FrozenSet[int]]:
         adj: List[Set[int]] = [set() for _ in range(self.num_qubits)]

@@ -42,13 +42,17 @@ for throughput while staying *bit-identical* to the reference formulation
   operand pairs come from ``DependencyDag.op_pairs`` and positions from
   the live ``Mapping.forward`` array (``score``/``score_all`` remain as
   the introspection API for the case study and the kernel's reference);
-* :meth:`SabreCostModel.candidate_swaps` is the one candidate generator
-  (router, ``score_all`` and the geometric ``lookahead_decay`` path): the
-  union of per-qubit coupling-edge tuples cached on the model, sorted,
-  because tie order feeds ``rng.choice``;
+* with uniform lookahead, ``best_swap`` generates its candidates inside
+  the scoring loop (each front qubit's sorted neighbours, an edge between
+  two front qubits only from its smaller end) and sorts only the final
+  ties, because tie order feeds ``rng.choice``.
+  :meth:`SabreCostModel.candidate_swaps` — the sorted union of those
+  edges — serves ``score_all`` and the geometric ``lookahead_decay`` path;
 * :class:`SabreLayout` builds the skeleton :class:`DependencyDag`, its
   reverse, and one :class:`SabreCostModel` per ``run`` and threads them
-  through all ``2 * layout_passes + 1`` ``route()`` calls;
+  through all ``2 * layout_passes + 1`` ``route()`` calls; the layout
+  passes keep only their final mapping, so they run ``route(...,
+  emit=False)``, which builds no routed gates and no timeline;
 * ``record_mappings=True`` logs compact swap deltas in a
   :class:`repro.qubikos.mapping.MappingTimeline` instead of deep-copying the
   mapping per executed gate.
@@ -112,11 +116,9 @@ class SabreCostModel:
         # list form is cached on the coupling graph, shared by every model.
         self._dist = coupling.distance_rows
         n = coupling.num_qubits
-        #: ``_edges_at[p]``: every coupling edge at ``p`` as a sorted pair.
-        self._edges_at: List[Tuple[Edge, ...]] = [
-            tuple((p, nbr) if p < nbr else (nbr, p)
-                  for nbr in sorted(coupling.neighbors(p)))
-            for p in range(n)
+        #: ``_neighbours[p]``: the coupling neighbours of ``p``, ascending.
+        self._neighbours: List[Tuple[int, ...]] = [
+            tuple(sorted(coupling.neighbors(p))) for p in range(n)
         ]
         # best_swap scratch, restored after every call: the front-layer
         # partner of each physical qubit (-1 = none) and its list of
@@ -130,7 +132,6 @@ class SabreCostModel:
         sorted (the order ties are drawn from)."""
         pi = mapping.forward
         ops = dag.op_pairs
-        edges_at = self._edges_at
         candidates: Set[Edge] = set()
         for node in frontier.front:
             a, b = ops[node]
@@ -138,8 +139,9 @@ class SabreCostModel:
             pb = pi[b] if b < len(pi) else -1
             if pa < 0 or pb < 0:
                 raise KeyError(a if pa < 0 else b)
-            candidates.update(edges_at[pa])
-            candidates.update(edges_at[pb])
+            for p in (pa, pb):
+                candidates.update((p, x) if p < x else (x, p)
+                                  for x in self._neighbours[p])
         return sorted(candidates)
 
     def score(self, dag: DependencyDag, mapping: Mapping, swap: Edge,
@@ -214,6 +216,13 @@ class SabreCostModel:
         p1's partners and the mirror term over p2's — the same integers a
         from-scratch re-sum gives, divided and combined by the same float
         expression, hence bit-identical totals.
+
+        Candidates are generated inside the scoring loop: each front
+        qubit's edges, an edge between two front qubits taken only from
+        its smaller endpoint.  The total is symmetric in ``(p1, p2)``, so
+        only the candidates within ``1e-12`` of the running minimum are
+        kept, and only the final ties are normalised and sorted — the
+        tie list, in order, that :meth:`candidate_swaps` would give.
         """
         params = self.params
         dist = self._dist
@@ -224,80 +233,19 @@ class SabreCostModel:
         front = frontier.front_sorted()
         extended = frontier.following_gates(params.extended_set_size)
 
-        candidates = self.candidate_swaps(dag, frontier, mapping)
-        if not candidates:
-            raise QLSError("no candidate swaps; disconnected coupling graph?")
-
         nf = max(len(front), 1)
         ne = len(extended)
         ew = params.extended_set_weight
         ld = params.lookahead_decay
-        totals: List[float] = []
 
-        if ld is None:
-            fpart = self._front_partner
-            epart = self._ext_partners
-            append = totals.append
-            base_f = 0
-            base_e = 0
-            try:
-                for node in front:
-                    a, b = ops[node]
-                    pa = pi[a]
-                    pb = pi[b]
-                    fpart[pa] = pb
-                    fpart[pb] = pa
-                    base_f += dist[pa][pb]
-                for node in extended:
-                    a, b = ops[node]
-                    pa = pi[a]
-                    pb = pi[b]
-                    epart[pa].append(pb)
-                    epart[pb].append(pa)
-                    base_e += dist[pa][pb]
-                for p1, p2 in candidates:
-                    r1 = dist[p1]
-                    r2 = dist[p2]
-                    sf = base_f
-                    x = fpart[p1]
-                    if x >= 0 and x != p2:
-                        sf += r2[x] - r1[x]
-                    x = fpart[p2]
-                    if x >= 0 and x != p1:
-                        sf += r1[x] - r2[x]
-                    basic = sf / nf
-                    if ne:
-                        se = base_e
-                        for x in epart[p1]:
-                            if x != p2:
-                                se += r2[x] - r1[x]
-                        for x in epart[p2]:
-                            if x != p1:
-                                se += r1[x] - r2[x]
-                        lookahead = se / ne
-                    else:
-                        lookahead = 0.0
-                    if decay:
-                        q1 = back[p1] if p1 < nback else -1
-                        q2 = back[p2] if p2 < nback else -1
-                        d1 = decay.get(q1, 1.0) if q1 >= 0 else 1.0
-                        d2 = decay.get(q2, 1.0) if q2 >= 0 else 1.0
-                        decay_factor = d1 if d1 >= d2 else d2
-                        append(decay_factor * (basic + ew * lookahead))
-                    else:
-                        append(basic + ew * lookahead)
-            finally:
-                for node in front:
-                    a, b = ops[node]
-                    fpart[pi[a]] = -1
-                    fpart[pi[b]] = -1
-                for node in extended:
-                    a, b = ops[node]
-                    epart[pi[a]].clear()
-                    epart[pi[b]].clear()
-        else:
+        if ld is not None:
             # Geometric per-rank weights are float products; replicate the
             # reference summation order exactly instead of using deltas.
+            candidates = self.candidate_swaps(dag, frontier, mapping)
+            if not candidates:
+                raise QLSError(
+                    "no candidate swaps; disconnected coupling graph?")
+            totals: List[float] = []
             fpos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in front]
             epos = [(pi[ops[n][0]], pi[ops[n][1]]) for n in extended]
             for p1, p2 in candidates:
@@ -324,11 +272,91 @@ class SabreCostModel:
                 d2 = decay.get(q2, 1.0) if q2 >= 0 else 1.0
                 decay_factor = d1 if d1 >= d2 else d2
                 totals.append(decay_factor * (basic + ew * lookahead))
+            best_total = min(totals)
+            threshold = best_total + 1e-12
+            ties = [candidates[i] for i, t in enumerate(totals)
+                    if t <= threshold]
+            return rng.choice(ties), best_total
 
-        best_total = min(totals)
-        threshold = best_total + 1e-12
-        ties = [candidates[i] for i, t in enumerate(totals) if t <= threshold]
-        return rng.choice(ties), best_total
+        fpart = self._front_partner
+        epart = self._ext_partners
+        neighbours = self._neighbours
+        front_qubits: List[int] = []
+        base_f = 0
+        base_e = 0
+        best = threshold = float("inf")
+        # (total, p1, p2) of every candidate within 1e-12 of the running
+        # minimum when scored; a superset of the final ties.
+        kept: List[Tuple[float, int, int]] = []
+        try:
+            for node in front:
+                a, b = ops[node]
+                pa = pi[a]
+                pb = pi[b]
+                fpart[pa] = pb
+                fpart[pb] = pa
+                front_qubits.append(pa)
+                front_qubits.append(pb)
+                base_f += dist[pa][pb]
+            for node in extended:
+                a, b = ops[node]
+                pa = pi[a]
+                pb = pi[b]
+                epart[pa].append(pb)
+                epart[pb].append(pa)
+                base_e += dist[pa][pb]
+            for p1 in front_qubits:
+                r1 = dist[p1]
+                x1 = fpart[p1]
+                e1 = epart[p1]
+                for p2 in neighbours[p1]:
+                    x2 = fpart[p2]
+                    if x2 >= 0 and p2 < p1:
+                        continue  # both ends in the front: scored from p2
+                    r2 = dist[p2]
+                    sf = base_f
+                    if x1 != p2:
+                        sf += r2[x1] - r1[x1]
+                    if x2 >= 0 and x2 != p1:
+                        sf += r1[x2] - r2[x2]
+                    basic = sf / nf
+                    if ne:
+                        se = base_e
+                        for x in e1:
+                            if x != p2:
+                                se += r2[x] - r1[x]
+                        for x in epart[p2]:
+                            if x != p1:
+                                se += r1[x] - r2[x]
+                        lookahead = se / ne
+                    else:
+                        lookahead = 0.0
+                    if decay:
+                        q1 = back[p1] if p1 < nback else -1
+                        q2 = back[p2] if p2 < nback else -1
+                        d1 = decay.get(q1, 1.0) if q1 >= 0 else 1.0
+                        d2 = decay.get(q2, 1.0) if q2 >= 0 else 1.0
+                        decay_factor = d1 if d1 >= d2 else d2
+                        total = decay_factor * (basic + ew * lookahead)
+                    else:
+                        total = basic + ew * lookahead
+                    if total <= threshold:
+                        kept.append((total, p1, p2))
+                        if total < best:
+                            best = total
+                            threshold = best + 1e-12
+        finally:
+            for p in front_qubits:
+                fpart[p] = -1
+            for node in extended:
+                a, b = ops[node]
+                epart[pi[a]].clear()
+                epart[pi[b]].clear()
+        if not kept:
+            raise QLSError("no candidate swaps; disconnected coupling graph?")
+        ties = sorted((p1, p2) if p1 < p2 else (p2, p1)
+                      for total, p1, p2 in kept if total <= threshold)
+        return rng.choice(ties), best
 
 
 @dataclass
@@ -353,7 +381,8 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
           mapping: Mapping, params: SabreParameters, rng: random.Random,
           record_mappings: bool = False,
           dag: Optional[DependencyDag] = None,
-          model: Optional[SabreCostModel] = None) -> RoutingOutcome:
+          model: Optional[SabreCostModel] = None,
+          emit: bool = True) -> RoutingOutcome:
     """One SABRE forward routing pass; ``mapping`` is consumed (mutated).
 
     ``dag``/``model`` let callers that route the same skeleton repeatedly
@@ -361,7 +390,13 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
     model instead of rebuilding them per pass.  A given ``dag`` is the
     routing input and ``circuit`` may be ``None``; otherwise the DAG is
     built from ``circuit``.
+
+    ``emit=False`` is the layout search's output-free pass: the same
+    decisions, rng draws, counts and final mapping, but ``routed`` stays
+    empty and no gate is built (so ``record_mappings`` needs ``emit``).
     """
+    if record_mappings and not emit:
+        raise ValueError("record_mappings needs emit=True")
     if dag is None:
         if circuit is None:
             raise ValueError("route() needs a circuit or a prebuilt dag")
@@ -389,40 +424,37 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
         if a >= npi or pi[a] < 0 or b >= npi or pi[b] < 0:
             raise QLSError(f"program qubit of gate pair ({a}, {b}) is unmapped")
 
-    def execute_ready() -> bool:
-        # Executes satisfiable gates in ascending node order, pass by pass.
-        # After the first full sweep only newly released gates can become
-        # satisfiable (the mapping is unchanged), so later sweeps iterate
-        # the released lists ExecutionFrontier.execute returns instead of
-        # re-sorting the whole front layer.
+    while not frontier.done():
+        # Execute satisfiable gates in ascending node order, sweep by
+        # sweep.  After the first full sweep only newly released gates can
+        # become satisfiable (the mapping is unchanged), so later sweeps
+        # walk the released nodes instead of re-sorting the front layer.
         progressed = False
-        worklist: Sequence[int] = frontier.front_sorted()
+        worklist: List[int] = frontier.front_sorted()
         while worklist:
-            released_all: List[int] = []
+            released: List[int] = []
             for node in worklist:
                 a, b = ops[node]
-                p1, p2 = pi[a], pi[b]
+                p1 = pi[a]
+                p2 = pi[b]
                 if p2 in adj[p1]:
-                    released_all.extend(frontier.execute(node))
-                    routed.append((node, gates[node].remap({a: p1, b: p2})))
-                    if timeline is not None:
-                        timeline.record_gate(node)
+                    released += frontier.execute(node)
                     progressed = True
-            worklist = sorted(released_all)
-        return progressed
-
-    while not frontier.done():
-        if execute_ready():
+                    if emit:
+                        routed.append(
+                            (node, gates[node].remap({a: p1, b: p2})))
+                        if timeline is not None:
+                            timeline.record_gate(node)
+            worklist = sorted(released) if len(released) > 1 else released
+        if progressed:
             swaps_since_progress = 0
             decay.clear()
             swaps_since_reset = 0
             continue
-        if frontier.done():
-            break
         if swaps_since_progress >= stall_limit:
             # Escape hatch: greedily walk one front gate's operands together.
             swaps_done = _force_route_one(dag, frontier, coupling, mapping,
-                                          routed, timeline)
+                                          routed if emit else None, timeline)
             swap_count += swaps_done
             fallback_swaps += swaps_done
             swaps_since_progress = 0
@@ -431,9 +463,10 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
             continue
         (p1, p2), _total = model.best_swap(dag, frontier, mapping, decay, rng)
         mapping.swap_physical(p1, p2)
-        routed.append((-1, Gate("swap", (p1, p2))))
-        if timeline is not None:
-            timeline.record_swap(p1, p2)
+        if emit:
+            routed.append((-1, Gate("swap", (p1, p2))))
+            if timeline is not None:
+                timeline.record_swap(p1, p2)
         swap_count += 1
         swaps_since_progress += 1
         swaps_since_reset += 1
@@ -457,9 +490,12 @@ def route(circuit: Optional[QuantumCircuit], coupling: CouplingGraph,
 
 def _force_route_one(dag: DependencyDag, frontier: ExecutionFrontier,
                      coupling: CouplingGraph, mapping: Mapping,
-                     routed: List[Tuple[int, Gate]],
+                     routed: Optional[List[Tuple[int, Gate]]],
                      timeline: Optional[MappingTimeline] = None) -> int:
-    """Livelock escape: route the closest front gate along a shortest path."""
+    """Livelock escape: route the closest front gate along a shortest path.
+
+    ``routed=None`` (an output-free pass) applies the SWAPs unrecorded.
+    """
     best_node = min(
         frontier.front,
         key=lambda n: coupling.distance(
@@ -472,7 +508,8 @@ def _force_route_one(dag: DependencyDag, frontier: ExecutionFrontier,
     # Walk the first operand toward the second until adjacent.
     for a, b in zip(path, path[1:-1]):
         mapping.swap_physical(a, b)
-        routed.append((-1, Gate("swap", (a, b))))
+        if routed is not None:
+            routed.append((-1, Gate("swap", (a, b))))
         if timeline is not None:
             timeline.record_swap(a, b)
         swaps += 1
@@ -536,12 +573,10 @@ class SabreLayout(QLSTool):
         mapping = _random_initial_mapping(skeleton.num_qubits, coupling, rng)
         reversed_dag = dag.reversed()
         for _ in range(self.params.layout_passes):
-            outcome = route(skeleton, coupling, mapping.copy(), self.params,
-                            rng, dag=dag, model=model)
-            mapping = outcome.final_mapping
-            outcome = route(None, coupling, mapping.copy(), self.params, rng,
-                            dag=reversed_dag, model=model)
-            mapping = outcome.final_mapping
+            for pass_dag in (dag, reversed_dag):
+                mapping = route(None, coupling, mapping, self.params, rng,
+                                dag=pass_dag, model=model,
+                                emit=False).final_mapping
         return mapping
 
 

@@ -56,11 +56,17 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
 
 
 def coupling_fingerprint(coupling: CouplingGraph) -> str:
-    """Hash of the device graph: qubit count + sorted edge set."""
-    return _digest(canonical_json({
-        "num_qubits": coupling.num_qubits,
-        "edges": [list(edge) for edge in coupling.edges],
-    }))
+    """Hash of the device graph: qubit count + sorted edge set.
+
+    The graph is immutable, so the digest is computed once per graph
+    object and cached on it (every request keys its device).
+    """
+    if coupling._fingerprint is None:
+        coupling._fingerprint = _digest(canonical_json({
+            "num_qubits": coupling.num_qubits,
+            "edges": [list(edge) for edge in coupling.edges],
+        }))
+    return coupling._fingerprint
 
 
 def normalize_spec(spec: str) -> str:

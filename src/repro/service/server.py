@@ -420,8 +420,13 @@ class _Handler(BaseHTTPRequestHandler):
         # HTTP/0.9 request gets no header block at all).
         head = b"".join(getattr(self, "_headers_buffer", ()))
         self._headers_buffer = []
+        if self._status is None:
+            # Accounted before the send, so a client that reads
+            # /v1/healthz or /v1/metrics right after this response
+            # finds this request counted.
+            self._status = status
+            self._account(status)
         self.wfile.write(head + b"\r\n" + body if head else body)
-        self._status = status
 
     def _drain_body(self) -> None:
         """Consume any unread request body before responding.
@@ -518,8 +523,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_consumed = False
         self._status: Optional[int] = None
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        endpoint = _endpoint_label(path)
-        started = time.perf_counter()
+        self._method = method
+        self._endpoint = endpoint = _endpoint_label(path)
+        self._started = time.perf_counter()
         if faults._ACTIVE is not None:
             point = faults.poll(faults.HTTP_REQUEST)
             if point is not None:
@@ -558,21 +564,21 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(
                     404, f"no route for {method} {path} (API root: /v1)"
                 )
-        self._account(method, endpoint, started)
 
-    def _account(self, method: str, endpoint: str, started: float) -> None:
-        """Per-request accounting: latency/status metrics plus the
-        per-client rollup (``X-Client-Id``)."""
+    def _account(self, status: int) -> None:
+        """Per-request accounting, once per response: latency/status
+        metrics plus the per-client rollup (``X-Client-Id``)."""
+        endpoint = self._endpoint
         client = self.headers.get(CLIENT_HEADER)
         if client:
             self.app.note_client(client, endpoint)
         if obs_metrics._ACTIVE is None:
             return
-        status = str(self._status) if self._status is not None else "reset"
-        obs_metrics.HTTP_REQUESTS.inc(method=method, endpoint=endpoint,
-                                      status=status)
+        obs_metrics.HTTP_REQUESTS.inc(method=self._method, endpoint=endpoint,
+                                      status=str(status))
         obs_metrics.HTTP_REQUEST_SECONDS.observe(
-            time.perf_counter() - started, method=method, endpoint=endpoint)
+            time.perf_counter() - self._started, method=self._method,
+            endpoint=endpoint)
 
     def _route(self, method: str, path: str) -> bool:
         app = self.app

@@ -16,6 +16,8 @@ from repro.qls import (
     validate_transpiled,
 )
 from repro.circuit.dag import DependencyDag, ExecutionFrontier
+from repro.obs import metrics as obs_metrics
+from repro.obs.profile import profiling
 from repro.qubikos import Mapping, generate
 
 
@@ -258,3 +260,113 @@ class TestBestSwapKernel:
         assert model.best_swap(dag, frontier, mapping, {}, got_rng) == (
             expected_swap, expected_total)
         assert got_rng.getstate() == ref_rng.getstate()
+
+    @staticmethod
+    def _assert_matches_reference(device, pairs, mapping, params=None,
+                                  decay=None, draw=0):
+        dag = DependencyDag.from_circuit(
+            circuit_from_pairs(len(mapping.forward), pairs))
+        frontier = ExecutionFrontier(dag)
+        model = SabreCostModel(device, params or SabreParameters())
+        decay = decay or {}
+        ref_rng = random.Random(draw)
+        expected_swap, expected_total, ties = _reference_choice(
+            model, dag, frontier, mapping, decay, ref_rng)
+        got_rng = random.Random(draw)
+        assert model.best_swap(dag, frontier, mapping, decay, got_rng) == (
+            expected_swap, expected_total)
+        assert got_rng.getstate() == ref_rng.getstate()
+        return model.candidate_swaps(dag, frontier, mapping), ties
+
+    @pytest.mark.parametrize("draw", range(8))
+    def test_edge_between_two_front_gates_is_scored_once(self, draw):
+        """Front gates (q0, q5) and (q4, q1) on a line, (q5, q2) next: edge
+        (4, 5) joins the two front gates and ties with one other swap, so
+        it must be scored, and drawn from, once."""
+        candidates, ties = self._assert_matches_reference(
+            line(6), [(0, 5), (4, 1), (5, 2)], Mapping.identity(6),
+            draw=draw)
+        assert ties == 2
+        assert (4, 5) in candidates
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_tie_found_in_both_orientations(self, draw):
+        """Gate (q5, q1) on a line: (5, 4) and (1, 2) tie, met from the
+        larger endpoint first; the draw is from the sorted ties."""
+        _, ties = self._assert_matches_reference(
+            line(7), [(5, 1)], Mapping.identity(7), draw=draw)
+        assert ties == 2
+
+    def test_no_extended_set(self):
+        _, ties = self._assert_matches_reference(
+            get_architecture("sycamore54"), [(0, 9), (3, 20), (9, 3)],
+            Mapping.identity(54), SabreParameters(extended_set_size=0),
+            decay={0: 1.002, 20: 1.001})
+        assert ties >= 1
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_candidates_past_the_backward_array(self, draw):
+        """Gate (q1, q2) on a 2x3 grid with physical 4 and 5 past
+        ``len(mapping.backward)``: SWAP (2, 5) takes only q1's decay and
+        ties with (1, 2)."""
+        mapping = Mapping({0: 0, 1: 2, 2: 3})
+        assert len(mapping.backward) == 4
+        _, ties = self._assert_matches_reference(
+            grid(2, 3), [(1, 2)], mapping, decay={1: 1.001, 2: 1.003},
+            draw=draw)
+        assert ties == 2
+
+
+def _route_observed(device, circuit, mapping, params, seed, emit):
+    """One ``route`` with metrics and profiling armed: the outcome, the
+    rng afterwards, and what the pass reported."""
+    rng = random.Random(seed)
+    with obs_metrics.enabled() as registry, profiling() as collector:
+        outcome = route(circuit, device, mapping.copy(), params, rng,
+                        emit=emit)
+    return outcome, rng.getstate(), registry.snapshot(), collector.snapshot()
+
+
+class TestOutputFreeRoute:
+    """``route(..., emit=False)`` takes the same decisions as the emitting
+    pass; it only skips building the routed gates."""
+
+    @pytest.mark.parametrize("device_name,params,gen_seed,route_seed", [
+        *[(name, SabreParameters(), 5, 1) for name in PAPER_DEVICES],
+        ("sycamore54", SabreParameters(lookahead_decay=0.5), 5, 1),
+        # Reaches the livelock escape (asserted below).
+        ("aspen4", SabreParameters(extended_set_weight=3.0,
+                                   decay_increment=0.0), 1, 0),
+    ], ids=[*PAPER_DEVICES, "lookahead-decay", "livelock"])
+    def test_same_routing_as_emitting_pass(self, device_name, params,
+                                           gen_seed, route_seed):
+        device = get_architecture(device_name)
+        instance = generate(device, num_swaps=3, num_two_qubit_gates=60,
+                            seed=gen_seed)
+        circuit = instance.circuit.without_single_qubit_gates()
+        placement = random.Random(route_seed).sample(
+            range(device.num_qubits), circuit.num_qubits)
+        mapping = Mapping(dict(enumerate(placement)))
+        full, full_rng, full_metrics, full_profile = _route_observed(
+            device, circuit, mapping, params, route_seed, emit=True)
+        bare, bare_rng, bare_metrics, bare_profile = _route_observed(
+            device, circuit, mapping, params, route_seed, emit=False)
+        assert full.swap_count > 0
+        assert bare.routed == [] and bare.mapping_at == {}
+        assert bare.final_mapping == full.final_mapping
+        assert (bare.swap_count, bare.fallback_swaps) == (
+            full.swap_count, full.fallback_swaps)
+        assert bare_rng == full_rng
+        assert bare_metrics == full_metrics
+        assert bare_profile == full_profile == {
+            key: value for key, value in (
+                ("sabre.swaps", full.swap_count - full.fallback_swaps),
+                ("sabre.forced_swaps", full.fallback_swaps)) if value}
+        if device_name == "aspen4" and params.decay_increment == 0.0:
+            assert full.fallback_swaps > 0
+
+    def test_no_timeline_without_output(self, line4):
+        with pytest.raises(ValueError):
+            route(circuit_from_pairs(4, [(0, 3)]), line4, Mapping.identity(4),
+                  SabreParameters(), random.Random(0), record_mappings=True,
+                  emit=False)

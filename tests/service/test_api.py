@@ -92,6 +92,23 @@ class TestFingerprint:
         assert coupling_fingerprint(grid(3, 3)) != \
             coupling_fingerprint(grid(3, 4))
 
+    def test_coupling_digest_is_pinned_and_computed_once(self, monkeypatch):
+        from repro.service import fingerprint
+
+        calls = []
+        digest = fingerprint._digest
+        monkeypatch.setattr(fingerprint, "_digest",
+                            lambda text: calls.append(text) or digest(text))
+        device = grid(3, 3)
+        for _ in range(3):
+            assert coupling_fingerprint(device) == (
+                "a2be3ff0c93c4f2f0c202dd8a9fb1200"
+                "a820fd9cc2eb9c991ae72ca970f6baf4")
+        assert len(calls) == 1
+        # A second graph object hashes its own edges once.
+        assert coupling_fingerprint(grid(3, 3)) == coupling_fingerprint(device)
+        assert len(calls) == 2
+
 
 class TestNormalizeSpec:
     def test_alias_and_preset_resolution(self):
